@@ -10,13 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .degeneracy import degeneracy
 from .graph import Graph, bits, induced_subgraph, mask_of
-
-MINIMUM_CUTS_MAX_N = 64  # subset enumeration cap for minimum_cuts
-
 
 def component_mask(rows: Sequence[int], seed_bit: int, region: int) -> int:
     """Vertices reachable from seed_bit inside region (as a bitmask)."""
@@ -142,74 +139,113 @@ def certify_cut(g: Graph, s: Iterable[int] | int) -> CutCertificate:
     )
 
 
-# --- exact vertex connectivity via unit-capacity node-split max flow ---
+def check_minimum_cut(g: Graph, cert: CutCertificate) -> None:
+    """Raise ValueError unless every cut vertex has a neighbor in every component.
+
+    Every minimum cut passes: if v in S saw no vertex of a component C of
+    G - S, then S - {v} would still cut C off from the rest, a smaller cut.
+    """
+    rows = g.rows
+    parts = [mask_of(comp) for comp in cert.components]
+    for v in cert.cut:
+        if not all(rows[v] & part for part in parts):
+            raise ValueError(f"minimum cut vertex {v} must see every component")
 
 
-def _build_flow_network(g: Graph) -> tuple[list[int], list[int], list[list[int]]]:
-    """Split each vertex v into v_in = v and v_out = v + n with a unit arc."""
-    n = g.n
-    to: list[int] = []
-    cap: list[int] = []
-    adj: list[list[int]] = [[] for _ in range(2 * n)]
-
-    def add(u: int, v: int, c: int) -> None:
-        adj[u].append(len(to))
-        to.append(v)
-        cap.append(c)
-        adj[v].append(len(to))
-        to.append(u)
-        cap.append(0)
-
-    for v in range(n):
-        add(v, v + n, 1)
-    for u, v in g.edges():
-        add(u + n, v, 1)
-        add(v + n, u, 1)
-    return to, cap, adj
+# --- vertex connectivity and minimum cuts from one unit-capacity flow ---
+#
+# The vertex-split network has nodes v_in = v and v_out = v + n, a unit arc
+# v_in -> v_out per vertex, and an arc u_out -> w_in of unbounded capacity per
+# ordered edge (u, w). A vertex separator of s and t is then exactly the set of
+# unit arcs an s_out-t_in cut crosses. The residual network is one bitmask per
+# node: bit y of res[x] is set when the arc x -> y has residual capacity.
 
 
-def _local_connectivity(
-    n: int,
-    to: list[int],
-    cap0: list[int],
-    adj: list[list[int]],
-    s: int,
-    t: int,
-    cutoff: int,
-) -> int:
-    """Max vertex-disjoint s-t paths for non-adjacent s, t, stopping at cutoff."""
-    cap = cap0.copy()
-    source = s + n
-    sink = t
+def _max_flow(rows: Sequence[int], s: int, t: int, cutoff: int) -> tuple[int, list[int]]:
+    """Vertex-disjoint s-t paths for non-adjacent s, t, stopping at cutoff.
+
+    Returns the number of paths found and the residual network. Common
+    neighbors c carry the paths s, c, t before any search; the rest are found
+    by depth-first augmenting searches, each step one `res[x] & ~seen`.
+    """
+    n = len(rows)
+    res = [1 << (v + n) for v in range(n)] + list(rows)
+    s_out = s + n
     flow = 0
-    parent = [-1] * (2 * n)
-    while flow < cutoff:
-        for i in range(2 * n):
-            parent[i] = -1
-        parent[source] = -2
-        queue = [source]
-        qi = 0
-        found = False
-        while qi < len(queue) and not found:
-            u = queue[qi]
-            qi += 1
-            for arc in adj[u]:
-                if cap[arc] and parent[to[arc]] == -1:
-                    parent[to[arc]] = arc
-                    if to[arc] == sink:
-                        found = True
-                        break
-                    queue.append(to[arc])
-        if not found:
-            break
-        node = sink
-        while node != source:
-            arc = parent[node]
-            cap[arc] -= 1
-            cap[arc ^ 1] += 1
-            node = to[arc ^ 1]
+    common = rows[s] & rows[t]
+    for c in bits(common):
+        if flow == cutoff:
+            return flow, res
+        res[c] = 1 << s_out
+        res[c + n] |= 1 << c
+        res[t] |= 1 << (c + n)
         flow += 1
-    return flow
+    sink = 1 << t
+    # search order only: first in-nodes one free unit arc away from t (the
+    # search then ends two steps later), then those of vertices with no flow
+    near = rows[t] & ~common
+    idle = ((1 << n) - 1) & ~common
+    while flow < cutoff:
+        path = [s_out]
+        seen = 1 << s_out
+        while path:
+            free = res[path[-1]] & ~seen
+            if free & sink:
+                break
+            if free:
+                low = free & near or free & idle or free
+                low &= -low
+                seen |= low
+                path.append(low.bit_length() - 1)
+            else:
+                path.pop()
+        if not path:
+            break
+        path.append(t)
+        for x, y in zip(path, path[1:]):
+            res[y] |= 1 << x
+            # an edge arc u_out -> w_in keeps its unbounded forward capacity
+            if x < n or y == x - n:
+                res[x] &= ~(1 << y)
+            if y == x + n:
+                near &= ~(1 << x)
+                idle &= ~(1 << x)
+            elif x == y + n:
+                near |= rows[t] & 1 << y
+                idle |= 1 << y
+        flow += 1
+    return flow, res
+
+
+def _reach(res: list[int], seeds: int, closed: int) -> int:
+    """The closed set `closed` grown by every node reachable from seeds."""
+    new = seeds & ~closed
+    while new:
+        closed |= new
+        grow = 0
+        while new:
+            low = new & -new
+            grow |= res[low.bit_length() - 1]
+            new ^= low
+        new = grow & ~closed
+    return closed
+
+
+def _eh_pairs(g: Graph) -> Iterator[tuple[int, int]]:
+    """Non-adjacent pairs whose minimum separators include every minimum cut.
+
+    Esfahanian & Hakimi: take v0 of minimum degree. A minimum cut S that misses
+    v0 separates it from some non-neighbor w. One that contains v0 leaves two
+    of v0's neighbors in different components (v0 sees every component), and
+    those two are non-adjacent.
+    """
+    rows = g.rows
+    v0 = min(range(g.n), key=lambda v: (rows[v].bit_count(), v))
+    for w in bits(g.full_mask & ~rows[v0] & ~(1 << v0)):
+        yield v0, w
+    for x, y in combinations(bits(rows[v0]), 2):
+        if not rows[x] >> y & 1:
+            yield x, y
 
 
 def vertex_connectivity(g: Graph) -> int:
@@ -221,56 +257,105 @@ def vertex_connectivity(g: Graph) -> int:
         return n - 1
     if not is_connected(g):
         return 0
-    # every minimum cut either misses v0 (then v0 is separated from some
-    # non-neighbor) or contains it (then two of v0's neighbors end up in
-    # different components and are non-adjacent), so these pairs suffice
-    v0 = min(range(n), key=lambda v: (g.degree(v), v))
-    best = g.degree(v0)
-    to, cap0, adj = _build_flow_network(g)
-    non_neighbors = g.full_mask & ~g.rows[v0] & ~(1 << v0)
-    for w in bits(non_neighbors):
-        if best <= 0:
-            break
-        best = min(best, _local_connectivity(n, to, cap0, adj, v0, w, best))
-    nbrs = list(bits(g.rows[v0]))
-    for x, y in combinations(nbrs, 2):
-        if best <= 0:
-            break
-        if not g.has_edge(x, y):
-            best = min(best, _local_connectivity(n, to, cap0, adj, x, y, best))
+    best = g.min_degree()
+    for s, t in _eh_pairs(g):
+        best = min(best, _max_flow(g.rows, s, t, best)[0])
     return best
+
+
+def _min_separators(rows: list[int], s: int, t: int, kappa: int, out: list[int]) -> None:
+    """Append every s-t separator of size kappa to out, each once, as a bitmask.
+
+    The residual network of a maximum flow has one closed set X (s_out in X,
+    t_in not, no residual arc leaving X) per minimum cut of the split network
+    (Picard & Queyranne 1980). Such a cut has capacity kappa, equal to the
+    flow, so no flow re-enters X and each of the kappa flow paths crosses it
+    exactly once, at a unit arc v_in -> v_out: its separator S takes one
+    internal vertex from each path. Conversely a choice of one vertex per path
+    is a separator exactly when X = reach(s_out and the chosen in-nodes)
+    holds neither t_in nor a chosen out-node, and that X is the unique minimal
+    closed set for S; so each separator comes from exactly one choice. Along a
+    path the reach only grows, so once a choice takes in t_in or an earlier
+    chosen out-node, every later vertex of that path fails too. A partial choice
+    that passes always extends: on each remaining path, the first vertex whose
+    out-node lies outside X adds nothing to X.
+    """
+    flow, res = _max_flow(rows, s, t, kappa)
+    if flow < kappa:
+        raise ValueError(f"kappa={kappa} exceeds the local connectivity {flow}")
+    n = len(rows)
+    t_in = 1 << t
+    closed = _reach(res, 1 << (s + n), 0)
+    if closed & t_in:
+        return  # the local connectivity of s and t exceeds kappa
+    # flow runs y_out -> x_in exactly when res[x] holds y_out
+    firsts = []
+    succ = {}
+    for x in range(n):
+        for y in bits(res[x] >> n & ~(1 << x)):
+            if y == s:
+                firsts.append(x)
+            else:
+                succ[y] = x
+    paths = []
+    for v in firsts:
+        walk = [v]
+        while succ[walk[-1]] != t:
+            walk.append(succ[walk[-1]])
+        paths.append(walk)
+
+    def choose(i: int, closed: int, chosen_out: int, cut: int) -> None:
+        if i == kappa:
+            out.append(cut)
+            return
+        for v in paths[i]:
+            v_out = 1 << (v + n)
+            if closed & v_out:
+                continue
+            grown = _reach(res, 1 << v, closed)
+            if grown & (t_in | chosen_out):
+                break
+            if not grown & v_out:
+                choose(i + 1, grown, chosen_out | v_out, cut | 1 << v)
+
+    choose(0, closed, 0, 0)
+
+
+def minimum_cut_sets(g: Graph, kappa: int) -> list[tuple[int, ...]]:
+    """All vertex cuts of size kappa = vertex_connectivity(g), in lex order.
+
+    Completeness: every minimum cut S separates some pair from `_eh_pairs`,
+    and is then a minimum separator of that pair, since no separator of any
+    pair is smaller than kappa. `_min_separators` lists all minimum separators
+    of a pair whose local connectivity is kappa. After a pair is done, the
+    edge s-t is added (as in Kanevsky 1993), so later pairs skip the cuts
+    that separate s from t. That edge lies inside a component of G - S, or
+    touches S, for every cut S that separates no earlier pair, so such an S
+    keeps its components and is still found at the first pair it separates.
+    A cut with three or more components can separate a later pair as well,
+    hence the set.
+    """
+    if kappa == 0:
+        return [()]
+    rows = list(g.rows)
+    found: list[int] = []
+    for s, t in _eh_pairs(g):
+        _min_separators(rows, s, t, kappa, found)
+        rows[s] |= 1 << t
+        rows[t] |= 1 << s
+    return sorted(tuple(bits(cut)) for cut in set(found))
 
 
 def minimum_cuts(g: Graph) -> list[CutCertificate]:
     """All vertex cuts of minimum size, lexicographic by sorted vertex tuple.
 
-    Exhaustive subset enumeration at size kappa; capped at n <= 64. Every
-    certificate is checked for the minimum-cut property that each cut vertex
-    has a neighbor in every component.
+    The cuts come from `minimum_cut_sets`, which argues why none is missed.
+    Every certificate is checked for the minimum-cut property that each cut
+    vertex has a neighbor in every component.
     """
     if g.is_complete():
         raise ValueError("no cuts exist: graph is complete")
-    if g.n > MINIMUM_CUTS_MAX_N:
-        raise ValueError(f"minimum_cuts is capped at n <= {MINIMUM_CUTS_MAX_N}")
-    kappa = vertex_connectivity(g)
-    if kappa == 0:
-        return [certify_cut(g, 0)]
-    rows = g.rows
-    full = g.full_mask
-    out = []
-    for combo in combinations(range(g.n), kappa):
-        s_mask = 0
-        for v in combo:
-            s_mask |= 1 << v
-        region = full & ~s_mask
-        seed = region & -region
-        if component_mask(rows, seed, region) == region:
-            continue
-        cert = certify_cut(g, s_mask)
-        for v in combo:
-            row = rows[v]
-            assert all(
-                any(row >> w & 1 for w in comp) for comp in cert.components
-            ), "minimum cut vertex must see every component"
-        out.append(cert)
-    return out
+    certs = [certify_cut(g, cut) for cut in minimum_cut_sets(g, vertex_connectivity(g))]
+    for cert in certs:
+        check_minimum_cut(g, cert)
+    return certs

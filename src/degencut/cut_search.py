@@ -2,9 +2,9 @@
 
 `find_degenerate_cut` looks for any cut whose induced subgraph is
 k-degenerate; `find_min_degenerate_cut` restricts to cuts of minimum size.
-Exhaustive stages honor an optional subset budget: exceeding it raises
-SearchBudgetExceeded, which is deliberately distinct from returning None --
-None is only ever returned after full exhaustion.
+Both honor an optional budget (subsets tried, or minimum cuts examined):
+exceeding it raises SearchBudgetExceeded, which is deliberately distinct from
+returning None -- None is only ever returned after full exhaustion.
 """
 
 from __future__ import annotations
@@ -14,9 +14,10 @@ from itertools import combinations
 from .connectivity import (
     CutCertificate,
     certify_cut,
-    component_mask,
+    check_minimum_cut,
     is_connected,
     is_cut,
+    minimum_cut_sets,
     vertex_connectivity,
 )
 from .degeneracy import is_k_degenerate
@@ -73,8 +74,10 @@ def find_min_degenerate_cut(
 ) -> CutCertificate | None:
     """First minimum cut (lexicographic) whose induced subgraph is k-degenerate.
 
-    None means the graph has minimum cuts but none of them is k-degenerate.
-    Requires k >= 2 and a connected, non-complete graph.
+    None means the graph has minimum cuts but none of them is k-degenerate:
+    the walk covers every minimum cut, because `minimum_cut_sets` lists them
+    all. The optional budget counts minimum cuts examined, after they are
+    listed. Requires k >= 2 and a connected, non-complete graph.
     """
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
@@ -82,26 +85,13 @@ def find_min_degenerate_cut(
         raise ValueError("no cuts exist: graph is complete")
     if not is_connected(g):
         raise ValueError("graph must be connected")
-    kappa = vertex_connectivity(g)
-    rows = g.rows
-    full = g.full_mask
-    examined = 0
-    for combo in combinations(range(g.n), kappa):
-        examined += 1
+    cuts = minimum_cut_sets(g, vertex_connectivity(g))
+    for examined, cut in enumerate(cuts, 1):
         if budget is not None and examined > budget:
             raise SearchBudgetExceeded(examined - 1)
-        s_mask = 0
-        for v in combo:
-            s_mask |= 1 << v
-        region = full & ~s_mask
-        seed = region & -region
-        if component_mask(rows, seed, region) == region:
-            continue
-        if is_k_degenerate(induced_subgraph(g, s_mask), k):
-            cert = certify_cut(g, s_mask)
-            for v in combo:
-                row = rows[v]
-                assert all(any(row >> w & 1 for w in comp) for comp in cert.components)
+        if is_k_degenerate(induced_subgraph(g, cut), k):
+            cert = certify_cut(g, cut)
+            check_minimum_cut(g, cert)
             return cert
     return None
 
@@ -113,8 +103,8 @@ def exists_min_degenerate_cut(g: Graph, k: int) -> bool:
     the question. |S| >= kappa always, so either kappa <= k+1 -- then minimum
     cuts exist (the graph is not complete) and each has at most k+1 vertices,
     hence is k-degenerate -- or kappa = k+2 = |S| and S itself is a minimum
-    k-degenerate cut. Two such cuts are tried before falling back to the full
-    scan: the neighborhood of a vertex of degree <= k+1, and the neighborhood
+    k-degenerate cut. Two such cuts are tried before falling back to the list
+    of all minimum cuts: the neighborhood of a vertex of degree <= k+1, and the neighborhood
     of a degree-(k+2) vertex whose neighbors do not form a clique (a
     non-complete graph on k+2 vertices is always k-degenerate).
     """
@@ -126,7 +116,6 @@ def exists_min_degenerate_cut(g: Graph, k: int) -> bool:
         raise ValueError("graph must be connected")
     n = g.n
     rows = g.rows
-    full = g.full_mask
     if g.min_degree() <= k + 1:
         return True
     if n >= k + 4:
@@ -140,14 +129,6 @@ def exists_min_degenerate_cut(g: Graph, k: int) -> bool:
     kappa = vertex_connectivity(g)
     if kappa <= k + 1:
         return True
-    for combo in combinations(range(n), kappa):
-        s_mask = 0
-        for v in combo:
-            s_mask |= 1 << v
-        region = full & ~s_mask
-        seed = region & -region
-        if component_mask(rows, seed, region) == region:
-            continue
-        if is_k_degenerate(induced_subgraph(g, s_mask), k):
-            return True
-    return False
+    return any(
+        is_k_degenerate(induced_subgraph(g, cut), k) for cut in minimum_cut_sets(g, kappa)
+    )

@@ -23,6 +23,12 @@ def brute_vertex_connectivity(g: Graph) -> int:
     raise AssertionError("non-complete graph must have a cut")
 
 
+def brute_minimum_cuts(g: Graph) -> list[tuple[int, ...]]:
+    """Every cut of size kappa, in lex order, by a plain subset scan."""
+    kappa = brute_vertex_connectivity(g)
+    return [c for c in combinations(range(g.n), kappa) if is_cut(g, c)]
+
+
 def ref_is_k_degenerate(h: Graph, k: int) -> bool:
     """Greedy min-degree peeling; stalls exactly when a (k+1)-min-degree
     subgraph remains."""

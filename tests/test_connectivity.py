@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -17,9 +18,12 @@ from degencut import (
     path,
     petersen,
     random_graph,
+    random_ring_spec,
+    ring_of_cliques,
     vertex_connectivity,
 )
-from oracles import brute_vertex_connectivity
+from degencut.connectivity import check_minimum_cut
+from oracles import brute_minimum_cuts, brute_vertex_connectivity
 
 
 def test_components_ordered_by_smallest_member():
@@ -149,11 +153,64 @@ def test_minimum_cuts_of_disconnected_graph_is_the_empty_cut():
     assert cuts[0].cut_degeneracy == 0
 
 
-def test_minimum_cuts_refuses_complete_and_oversized():
+def test_minimum_cuts_refuses_complete_and_lists_cycle_65():
     with pytest.raises(ValueError, match="complete"):
         minimum_cuts(complete(4))
-    with pytest.raises(ValueError, match="64"):
-        minimum_cuts(cycle(65))
+    # every pair of non-adjacent vertices cuts a cycle; 65 is past the old cap
+    cuts = [c.cut for c in minimum_cuts(cycle(65))]
+    assert len(cuts) == 65 * 62 // 2
+    assert cuts == [(u, v) for u, v in combinations(range(65), 2) if 1 < v - u < 64]
+
+
+def test_minimum_cuts_match_subset_scan():
+    rng = random.Random(0x3C)
+    checked = 0
+    while checked < 1200:
+        g = random_graph(rng.randint(2, 10), rng, rng.random())
+        if g.is_complete():
+            continue
+        checked += 1
+        assert [c.cut for c in minimum_cuts(g)] == brute_minimum_cuts(g)
+
+
+def test_check_minimum_cut_rejects_a_cut_that_is_not_minimum():
+    c6 = cycle(6)
+    check_minimum_cut(c6, certify_cut(c6, [0, 3]))
+    # 2 and 3 see nothing of the component (4, 5) and (1,) respectively
+    with pytest.raises(ValueError, match="must see every component"):
+        check_minimum_cut(c6, certify_cut(c6, [0, 2, 3]))
+
+
+def _nx(g):
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return nx, h
+
+
+def test_flow_layer_matches_networkx_on_larger_graphs():
+    rng = random.Random(0x5E)
+    for _ in range(16):
+        n = rng.randint(20, 60)
+        g = random_graph(n, rng, rng.uniform(3.0 / n, 0.3))
+        nx, h = _nx(g)
+        kappa = vertex_connectivity(g)
+        assert kappa == nx.node_connectivity(h)
+        if kappa == 0 or g.is_complete():
+            continue
+        want = {tuple(sorted(c)) for c in nx.all_node_cuts(h)}
+        assert {c.cut for c in minimum_cuts(g)} == want
+
+
+def test_ring_minimum_cuts_match_networkx():
+    for k, s in ((2, 3), (2, 8), (2, 12), (3, 5), (3, 12)):
+        g = ring_of_cliques(random_ring_spec(k, s, seed=s))
+        nx, h = _nx(g)
+        assert vertex_connectivity(g) == nx.node_connectivity(h) == k + 2
+        cuts = [c.cut for c in minimum_cuts(g)]
+        assert cuts == [tuple(range(k + 2))]
+        assert set(cuts) == {tuple(sorted(c)) for c in nx.all_node_cuts(h)}
 
 
 def test_certificate_invariants_on_random_cuts():

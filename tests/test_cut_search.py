@@ -2,6 +2,7 @@
 fast existence route agreeing with the exhaustive one."""
 
 import random
+from itertools import combinations, product
 
 import pytest
 
@@ -14,6 +15,8 @@ from degencut import (
     exists_min_degenerate_cut,
     find_degenerate_cut,
     find_min_degenerate_cut,
+    from_edges,
+    induced_subgraph,
     is_connected,
     join_extremal,
     path,
@@ -22,7 +25,7 @@ from degencut import (
     ring_of_cliques,
     RingSpec,
 )
-from oracles import brute_has_degenerate_cut
+from oracles import brute_has_degenerate_cut, brute_minimum_cuts, ref_is_k_degenerate
 
 
 def test_c5_first_independent_cut_is_0_2():
@@ -81,6 +84,36 @@ def test_find_min_degenerate_cut_errors():
         find_min_degenerate_cut(complete(5), 2)
     with pytest.raises(ValueError, match="connected"):
         find_min_degenerate_cut(complete_bipartite(0, 4), 2)
+
+
+def test_find_min_degenerate_cut_is_first_degenerate_minimum_cut():
+    rng = random.Random(0x3D)
+    checked = 0
+    while checked < 1000:
+        g = random_graph(rng.randint(2, 10), rng, rng.random())
+        if not is_connected(g) or g.is_complete():
+            continue
+        checked += 1
+        cuts = brute_minimum_cuts(g)
+        for k in (2, 3):
+            tame = [c for c in cuts if ref_is_k_degenerate(induced_subgraph(g, c), k)]
+            cert = find_min_degenerate_cut(g, k)
+            assert (cert.cut if cert else None) == (tame[0] if tame else None)
+
+
+def test_find_min_degenerate_cut_budget_counts_minimum_cuts():
+    # the chain 0 - K4 - K4 - K4 - 13, consecutive cliques fully
+    # joined: its minimum cuts are the three K4s, none of them 2-degenerate
+    cliques = [range(1, 5), range(5, 9), range(9, 13)]
+    edges = [e for c in cliques for e in combinations(c, 2)]
+    edges += list(product(cliques[0], cliques[1])) + list(product(cliques[1], cliques[2]))
+    edges += [(0, v) for v in cliques[0]] + [(v, 13) for v in cliques[2]]
+    g = from_edges(14, edges)
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        find_min_degenerate_cut(g, 2, budget=2)
+    assert exc.value.examined == 2
+    assert find_min_degenerate_cut(g, 2, budget=3) is None
+    assert find_min_degenerate_cut(g, 3, budget=1).cut == (1, 2, 3, 4)
 
 
 def test_ring_minimum_cuts_are_never_low_degeneracy():
