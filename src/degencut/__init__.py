@@ -25,7 +25,6 @@ from .constructions import (
 )
 from .cut_search import (
     SearchBudgetExceeded,
-    classify_cut,
     exists_min_degenerate_cut,
     find_degenerate_cut,
     find_min_degenerate_cut,
@@ -103,7 +102,6 @@ __all__ = [
     "check_claim1",
     "check_claim2",
     "check_min_degree",
-    "classify_cut",
     "complement",
     "complete",
     "complete_bipartite",

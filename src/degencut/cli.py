@@ -21,13 +21,12 @@ import argparse
 import json
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .connectivity import minimum_cuts, vertex_connectivity
 from .constructions import RingSpec, join_extremal, random_ring_spec, ring_of_cliques
 from .cut_search import find_degenerate_cut, find_min_degenerate_cut
 from .degeneracy import degeneracy
-from .enumeration import EnumerationSpec, enumerate_labeled, partition_prefixes
+from .enumeration import EnumerationSpec, enumerate_labeled, map_prefixes
 from .graph import random_graph
 from .graph6 import Graph6Error, iter_graph6, to_graph6
 from .verify import THEOREMS, verify_theorem, verify_theorem_exhaustive
@@ -194,8 +193,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 2
 
 
-def _enumerate_task(task: tuple[EnumerationSpec, tuple[int, ...]]) -> list[str]:
-    spec, prefix = task
+def _enumerate_task(spec: EnumerationSpec, prefix: tuple[int, ...]) -> list[str]:
     return [to_graph6(g) for g in enumerate_labeled(spec, prefix)]
 
 
@@ -211,13 +209,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         for g in enumerate_labeled(spec):
             out.write(to_graph6(g) + "\n")
         return 0
-    # prefix streams concatenate to exactly the sequential order, so the
-    # worker count never changes the bytes emitted
-    prefixes = partition_prefixes(spec, 4 * args.jobs)
-    with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-        for chunk in pool.map(_enumerate_task, [(spec, p) for p in prefixes]):
-            if chunk:
-                out.write("\n".join(chunk) + "\n")
+    for chunk in map_prefixes(_enumerate_task, spec, args.jobs):
+        if chunk:
+            out.write("\n".join(chunk) + "\n")
     return 0
 
 

@@ -31,17 +31,20 @@ def component_mask(rows: Sequence[int], seed_bit: int, region: int) -> int:
     return comp
 
 
+def _split(rows: Sequence[int], region: int) -> list[tuple[int, ...]]:
+    """Components of the subgraph induced on region, each sorted, ordered by
+    smallest member."""
+    parts = []
+    while region:
+        comp = component_mask(rows, region & -region, region)
+        parts.append(tuple(bits(comp)))
+        region &= ~comp
+    return parts
+
+
 def components(g: Graph) -> list[tuple[int, ...]]:
     """Connected components, each sorted, ordered by smallest member."""
-    rows = g.rows
-    left = g.full_mask
-    parts = []
-    while left:
-        seed = left & -left
-        comp = component_mask(rows, seed, left)
-        parts.append(tuple(bits(comp)))
-        left &= ~comp
-    return parts
+    return _split(g.rows, g.full_mask)
 
 
 def is_connected(g: Graph) -> bool:
@@ -115,15 +118,7 @@ def certify_cut(g: Graph, s: Iterable[int] | int) -> CutCertificate:
     s_mask = mask_of(s)
     if not is_cut(g, s_mask):
         raise ValueError("vertex set is not a cut")
-    region = g.full_mask & ~s_mask
-    rows = g.rows
-    parts = []
-    left = region
-    while left:
-        seed = left & -left
-        comp = component_mask(rows, seed, left)
-        parts.append(tuple(bits(comp)))
-        left &= ~comp
+    parts = _split(g.rows, g.full_mask & ~s_mask)
     induced = induced_subgraph(g, s_mask)
     degen = degeneracy(induced)
     cut_tuple = tuple(bits(s_mask))

@@ -30,11 +30,6 @@ class SearchBudgetExceeded(RuntimeError):
         self.examined = examined
 
 
-def classify_cut(g: Graph, s) -> CutCertificate:
-    """Certificate for an arbitrary cut (raises if s is not a cut)."""
-    return certify_cut(g, s)
-
-
 def find_degenerate_cut(
     g: Graph, k: int, budget: int | None = None
 ) -> CutCertificate | None:

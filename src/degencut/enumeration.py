@@ -1,28 +1,36 @@
 """Exhaustive labeled-graph enumeration with sound pruning.
 
-The stream walks edge slots (0,1), (0,2), ..., (n-2,n-1) depth-first, absent
-branch before present branch. Pruning never drops a qualifying graph: a slot
-is forced absent when an endpoint would exceed the degree cap or the edge
-budget, and forced present when an endpoint could no longer reach the minimum
-degree (or the remaining slots could no longer reach the edge floor). When the
-minimum degree asks for more than half the possible neighbors, the walk runs
-in the complement (degree caps prune far harder than degree floors) and emits
-complements; the stream contents are identical either way, only the order
-differs, and the order is deterministic for a fixed spec.
+The stream walks the edge slots (0,1), (0,2), ..., (n-2,n-1) depth-first,
+absent branch before present branch, so its order is fixed for a fixed spec.
+Every leaf the walk reaches qualifies, and no prune drops a qualifying graph:
 
-For parallel scans the slot-decision tree can be split by prefixes; running
-the enumerator over `partition_prefixes(spec, t)` in list order concatenates
-to exactly the sequential stream.
+- A slot is forced present when leaving it out would drop an endpoint's
+  degree plus its undecided slots below the minimum degree, or the edge
+  count plus all undecided slots below the edge floor: no completion could
+  reach them.
+- A slot is forced absent when taking it would put the edge count plus
+  ceil(need/2) above the edge cap, where need is the sum over all vertices
+  of max(0, min_degree - degree), n * min_degree at the root. One edge
+  lowers need by at most 2, so every completion adds at least ceil(need/2).
+
+The walk takes one stack frame per slot, so under the default recursion
+limit it refuses n above 42. The streams of `partition_prefixes(spec, t)`,
+in list order, concatenate to the sequential stream; `map_prefixes` runs
+them on worker processes.
 """
 
 from __future__ import annotations
 
+import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterator
+from typing import Callable, Iterator, TypeVar
 
 from .connectivity import is_connected
-from .graph import Graph, bits, complement
+from .graph import Graph, bits
+
+T = TypeVar("T")
 
 CANONICAL_MAX_N = 8
 
@@ -54,131 +62,56 @@ def _validated(spec: EnumerationSpec) -> tuple[int, int, int]:
     return m_lo, m_hi, dmin
 
 
-def _use_complement(n: int, dmin: int) -> bool:
-    return dmin * 2 > n - 1
-
-
 def _iter_rows(
-    n: int,
-    m_lo: int,
-    m_hi: int,
-    dmin: int,
-    dmax: int,
-    prefix: tuple[int, ...],
+    n: int, m_lo: int, m_hi: int, dmin: int, prefix: tuple[int, ...]
 ) -> Iterator[tuple[int, ...]]:
     """Yield adjacency row tuples for every graph meeting the constraints."""
     slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
     num = len(slots)
-    if dmin > max(n - 1, 0) or m_lo > num:
+    if dmin > max(n - 1, 0) or (n * dmin + 1) // 2 > m_hi:
         return
     if len(prefix) > num:
         raise ValueError("prefix longer than the slot list")
+    if num + 100 > sys.getrecursionlimit():
+        raise ValueError(f"{num} edge slots: the walk takes one stack frame per slot")
+    choices = [(b,) for b in prefix] + [(0, 1)] * (num - len(prefix))
     rows = [0] * n
     deg = [0] * n
-    rem = [n - 1] * n
-    m = 0
-    total_rem = num
+    slack = [n - 1 - dmin] * n  # absent slots each vertex can still afford
 
-    def apply(i: int, take: int) -> bool:
-        nonlocal m, total_rem
+    def walk(i: int, m: int, need: int) -> Iterator[tuple[int, ...]]:
+        if i == num:
+            yield tuple(rows)
+            return
         u, v = slots[i]
-        if take:
-            if deg[u] >= dmax or deg[v] >= dmax or m >= m_hi:
-                return False
-            rem[u] -= 1
-            rem[v] -= 1
-            total_rem -= 1
+        if 0 in choices[i] and slack[u] and slack[v] and m + num - i > m_lo:
+            slack[u] -= 1
+            slack[v] -= 1
+            yield from walk(i + 1, m, need)
+            slack[u] += 1
+            slack[v] += 1
+        after = need - (deg[u] < dmin) - (deg[v] < dmin)
+        if 1 in choices[i] and m + 1 + (after + 1) // 2 <= m_hi:
             deg[u] += 1
             deg[v] += 1
-            m += 1
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-            return True
-        rem[u] -= 1
-        rem[v] -= 1
-        total_rem -= 1
-        if (
-            deg[u] + rem[u] < dmin
-            or deg[v] + rem[v] < dmin
-            or m + total_rem < m_lo
-        ):
-            rem[u] += 1
-            rem[v] += 1
-            total_rem += 1
-            return False
-        return True
-
-    def undo(i: int, take: int) -> None:
-        nonlocal m, total_rem
-        u, v = slots[i]
-        rem[u] += 1
-        rem[v] += 1
-        total_rem += 1
-        if take:
+            yield from walk(i + 1, m + 1, after)
             deg[u] -= 1
             deg[v] -= 1
-            m -= 1
-            rows[u] &= ~(1 << v)
-            rows[v] &= ~(1 << u)
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
 
-    for i, take in enumerate(prefix):
-        if not apply(i, take):
-            for j in range(i - 1, -1, -1):
-                undo(j, prefix[j])
-            return
-
-    base = len(prefix)
-    depth = base
-    cur = [-1] * (num + 1)
-    nxt = [0] * (num + 1)
-    while True:
-        if depth == num:
-            yield tuple(rows)
-            depth -= 1
-        else:
-            advanced = False
-            while nxt[depth] < 2:
-                b = nxt[depth]
-                nxt[depth] += 1
-                if apply(depth, b):
-                    cur[depth] = b
-                    depth += 1
-                    nxt[depth] = 0
-                    cur[depth] = -1
-                    advanced = True
-                    break
-            if advanced:
-                continue
-            depth -= 1
-        while True:
-            if depth < base:
-                for j in range(base - 1, -1, -1):
-                    undo(j, prefix[j])
-                return
-            undo(depth, cur[depth])
-            cur[depth] = -1
-            if nxt[depth] < 2:
-                break
-            depth -= 1
+    yield from walk(0, 0, n * dmin)
 
 
 def enumerate_labeled(
     spec: EnumerationSpec, prefix: tuple[int, ...] = ()
 ) -> Iterator[Graph]:
     """Every labeled graph satisfying `spec`, exactly once, in a fixed order."""
-    m_lo, m_hi, dmin = _validated(spec)
-    n = spec.n
-    max_m = n * (n - 1) // 2
     seen: set[tuple[int, ...]] | None = set() if spec.iso_reject else None
-    if _use_complement(n, dmin):
-        stream = _iter_rows(
-            n, max_m - m_hi, max_m - m_lo, 0, n - 1 - dmin, prefix
-        )
-        graphs = (complement(Graph(n, rows)) for rows in stream)
-    else:
-        stream = _iter_rows(n, m_lo, m_hi, dmin, n - 1, prefix)
-        graphs = (Graph(n, rows) for rows in stream)
-    for g in graphs:
+    for rows in _iter_rows(spec.n, *_validated(spec), prefix):
+        g = Graph(spec.n, rows)
         if spec.connected_only and not is_connected(g):
             continue
         if seen is not None:
@@ -198,19 +131,26 @@ def partition_prefixes(spec: EnumerationSpec, tasks: int) -> list[tuple[int, ...
     """
     if spec.iso_reject:
         raise ValueError("iso_reject streams cannot be partitioned")
-    m_lo, m_hi, dmin = _validated(spec)
-    n = spec.n
-    num_slots = n * (n - 1) // 2
+    _validated(spec)
     depth = 0
-    while (1 << depth) < tasks and depth < num_slots:
+    while (1 << depth) < tasks and depth < spec.n * (spec.n - 1) // 2:
         depth += 1
-    if depth == 0:
-        return [()]
-    out = []
-    for code in range(1 << depth):
-        # absent branch explored first, so earlier slots are higher bits
-        out.append(tuple(code >> (depth - 1 - i) & 1 for i in range(depth)))
-    return out
+    # absent branch explored first, so earlier slots are higher bits
+    return [
+        tuple(code >> (depth - 1 - i) & 1 for i in range(depth))
+        for code in range(1 << depth)
+    ]
+
+
+def map_prefixes(
+    task: Callable[..., T], spec: EnumerationSpec, jobs: int
+) -> Iterator[T]:
+    """`task(spec, prefix)` for each prefix of `partition_prefixes(spec, 4 * jobs)`
+    on `jobs` worker processes, yielded in prefix order, so merged results do not
+    depend on `jobs`. `task` is pickled: a module-level function or a partial."""
+    prefixes = partition_prefixes(spec, 4 * jobs)
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        yield from pool.map(task, [spec] * len(prefixes), prefixes)
 
 
 def canonical_form(g: Graph) -> tuple[int, ...]:

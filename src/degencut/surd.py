@@ -34,15 +34,6 @@ class QuadSurd:
         self._b = b
         self._k = k
 
-    @classmethod
-    def from_int(cls, n: int, k: int = 1) -> QuadSurd:
-        return cls(Fraction(n), Fraction(0), k)
-
-    @classmethod
-    def sqrt_term(cls, coeff: Rational, k: int) -> QuadSurd:
-        """The value coeff * sqrt(k)."""
-        return cls(Fraction(0), Fraction(coeff), k)
-
     @property
     def a(self) -> Fraction:
         return self._a

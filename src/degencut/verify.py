@@ -20,9 +20,9 @@ comparisons are exact.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from .connectivity import is_connected, is_cut
 from .cut_search import exists_min_degenerate_cut, find_degenerate_cut
@@ -32,7 +32,7 @@ from .enumeration import (
     EnumerationSpec,
     canonical_graph,
     enumerate_labeled,
-    partition_prefixes,
+    map_prefixes,
 )
 from .graph import Graph, bits, induced_subgraph
 from .graph6 import to_graph6
@@ -216,8 +216,9 @@ def verify_theorem(
     return report
 
 
-def _verify_task(args: tuple[str, int, EnumerationSpec, tuple[int, ...]]) -> dict:
-    which, k, spec, prefix = args
+def _verify_task(
+    which: str, k: int, spec: EnumerationSpec, prefix: tuple[int, ...]
+) -> dict:
     report = verify_theorem(which, k, enumerate_labeled(spec, prefix))
     return {
         "scanned": report.scanned,
@@ -237,16 +238,13 @@ def verify_theorem_exhaustive(
         report = verify_theorem(which, k, enumerate_labeled(spec), exhaustive=True)
         report.seconds = time.perf_counter() - t0
         return report
-    prefixes = partition_prefixes(spec, 4 * jobs)
-    tasks = [(which, k, spec, p) for p in prefixes]
     report = VerificationReport(theorem=which, k=k, exhaustive=True)
     merged: dict[str, str] = {}
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(_verify_task, tasks):
-            report.scanned += part["scanned"]
-            report.hypothesis_hits += part["hits"]
-            for graph6_str, reason in part["violations"]:
-                merged.setdefault(graph6_str, reason)
+    for part in map_prefixes(partial(_verify_task, which, k), spec, jobs):
+        report.scanned += part["scanned"]
+        report.hypothesis_hits += part["hits"]
+        for graph6_str, reason in part["violations"]:
+            merged.setdefault(graph6_str, reason)
     report.violations = [Violation(s, r) for s, r in sorted(merged.items())]
     report.seconds = time.perf_counter() - t0
     return report

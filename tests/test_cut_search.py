@@ -8,7 +8,6 @@ import pytest
 
 from degencut import (
     SearchBudgetExceeded,
-    classify_cut,
     complete,
     complete_bipartite,
     cycle,
@@ -146,10 +145,3 @@ def test_find_agrees_with_brute_force_existence():
             if g.n < k + 2:
                 continue
             assert (find_degenerate_cut(g, k) is not None) == brute_has_degenerate_cut(g, k)
-
-
-def test_classify_cut_is_certification():
-    cert = classify_cut(cycle(5), [0, 2])
-    assert cert.cut == (0, 2)
-    with pytest.raises(ValueError):
-        classify_cut(cycle(5), [0])

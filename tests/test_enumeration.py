@@ -52,19 +52,40 @@ def test_min_degree_four_on_six_vertices():
     assert Counter(g.m for g in got) == {12: 15, 13: 45, 14: 15, 15: 1}
 
 
+def test_edge_cap_at_the_degree_floor_leaves_the_regular_graphs():
+    # m <= 8 * 4 / 2 admits only the labeled 4-regular graphs on 8 vertices
+    got = all_of(EnumerationSpec(8, edge_range=(0, 16), min_degree=4))
+    assert len(got) == 19355
+    assert all(g.degrees() == (4,) * 8 for g in got)
+
+
 def test_connected_counts():
     assert len(all_of(EnumerationSpec(3, connected_only=True))) == 4
     assert len(all_of(EnumerationSpec(4, connected_only=True))) == 38
 
 
 def test_stream_matches_brute_filter():
-    # complement strategy kicks in when min_degree is high; the emitted set
-    # must be exactly the brute filter of the full space
-    spec = EnumerationSpec(5, edge_range=(6, 10), min_degree=3)
-    want = {g for g in all_of(EnumerationSpec(5)) if g.m >= 6 and g.min_degree() >= 3}
-    got = all_of(spec)
-    assert set(got) == want
-    assert len(got) == len(set(got))
+    # the emitted set must be exactly the brute filter of the full space, also
+    # where the degree-deficit bound prunes (6 vertices, min degree 3, at most
+    # 9 edges: the 3-regular graphs only), where the edge floor binds, and
+    # where nothing qualifies (including a min degree of n)
+    spaces = {n: all_of(EnumerationSpec(n)) for n in (5, 6)}
+    for spec in (
+        EnumerationSpec(5, edge_range=(6, 10), min_degree=3),
+        EnumerationSpec(6, edge_range=(0, 9), min_degree=3),
+        EnumerationSpec(6, edge_range=(4, 10), min_degree=2),
+        EnumerationSpec(6, edge_range=(0, 8), min_degree=3),
+        EnumerationSpec(5, edge_range=(0, 10), min_degree=5),
+    ):
+        lo, hi = spec.edge_range
+        want = {
+            g
+            for g in spaces[spec.n]
+            if lo <= g.m <= hi and g.min_degree() >= spec.min_degree
+        }
+        got = all_of(spec)
+        assert set(got) == want
+        assert len(got) == len(set(got))
 
 
 def test_stream_is_deterministic():
@@ -77,6 +98,7 @@ def test_prefix_streams_tile_the_sequential_stream():
         EnumerationSpec(5),
         EnumerationSpec(6, min_degree=4),
         EnumerationSpec(5, edge_range=(2, 7), connected_only=True),
+        EnumerationSpec(6, edge_range=(0, 9), min_degree=3),
     ):
         whole = all_of(spec)
         for tasks in (2, 5, 16):
@@ -109,6 +131,9 @@ def test_spec_validation():
         list(enumerate_labeled(EnumerationSpec(4, edge_range=(5, 3))))
     with pytest.raises(ValueError):
         list(enumerate_labeled(EnumerationSpec(4, edge_range=(0, 7))))
+    # 1,225 slots would need more stack frames than the default recursion limit
+    with pytest.raises(ValueError):
+        list(enumerate_labeled(EnumerationSpec(50, edge_range=(0, 1))))
 
 
 def test_canonical_form_is_isomorphism_invariant():
