@@ -22,8 +22,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from degencut import (
     RingSpec,
-    find_degenerate_cut,
     find_min_degenerate_cut,
+    has_degenerate_cut,
     join_extremal,
     minimum_cuts,
     random_ring_spec,
@@ -61,7 +61,7 @@ def join_line(k: int, n: int) -> dict:
         "m": g.m,
         "min_degree": g.min_degree(),
         "kappa": vertex_connectivity(g),
-        "has_degenerate_cut": find_degenerate_cut(g, k) is not None,
+        "has_degenerate_cut": has_degenerate_cut(g, k),
         "graph6": to_graph6(g),
     }
 

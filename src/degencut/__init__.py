@@ -28,6 +28,7 @@ from .cut_search import (
     exists_min_degenerate_cut,
     find_degenerate_cut,
     find_min_degenerate_cut,
+    has_degenerate_cut,
 )
 from .degeneracy import CoreCertificate, degeneracy, is_k_degenerate, max_k_core
 from .discharging import (
@@ -72,7 +73,6 @@ from .verify import (
     check_claim2,
     check_min_degree,
     hyp_thm3,
-    spot_check_no_cut,
     verify_theorem,
     verify_theorem_exhaustive,
 )
@@ -115,6 +115,7 @@ __all__ = [
     "find_degenerate_cut",
     "find_min_degenerate_cut",
     "from_edges",
+    "has_degenerate_cut",
     "high_degree_transfer_scheme",
     "hyp_thm3",
     "induced_subgraph",
@@ -135,7 +136,6 @@ __all__ = [
     "remove_vertices",
     "ring_of_cliques",
     "run_discharging",
-    "spot_check_no_cut",
     "to_graph6",
     "verify_theorem",
     "verify_theorem_exhaustive",

@@ -123,7 +123,8 @@ def certify_cut(g: Graph, s: Iterable[int] | int) -> CutCertificate:
     degen = degeneracy(induced)
     cut_tuple = tuple(bits(s_mask))
     # any t-vertex graph is (t-1)-degenerate, so small cuts are always tame
-    assert degen <= max(len(cut_tuple) - 1, 0)
+    if degen > max(len(cut_tuple) - 1, 0):
+        raise RuntimeError(f"degeneracy {degen} exceeds the size of cut {cut_tuple}")
     return CutCertificate(
         cut=cut_tuple,
         components=tuple(parts),

@@ -1,20 +1,28 @@
 """Searches for k-degenerate vertex cuts.
 
-`find_degenerate_cut` looks for any cut whose induced subgraph is
-k-degenerate; `find_min_degenerate_cut` restricts to cuts of minimum size.
-Both honor an optional budget (subsets tried, or minimum cuts examined):
-exceeding it raises SearchBudgetExceeded, which is deliberately distinct from
-returning None -- None is only ever returned after full exhaustion.
+`has_degenerate_cut` decides whether some cut induces a k-degenerate
+subgraph, `find_degenerate_cut` certifies one, and `find_min_degenerate_cut`
+restricts to cuts of minimum size. A budget (minimal separators or minimum
+cuts examined) raises SearchBudgetExceeded when exceeded, deliberately
+distinct from None, which only ever follows full exhaustion.
+
+Completeness: a minimal separator, a set S such that G - S has two or more
+components C with N(C) = S, is a cut, and every cut S contains one (an
+inclusion-minimal a-b separator inside S, for a and b in different components
+of G - S). Subgraphs of a k-degenerate graph are k-degenerate, so every
+smallest k-degenerate cut is a minimal separator, and the minimal separators
+settle both whether a k-degenerate cut exists and which comes first by size.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from typing import Iterator
 
 from .connectivity import (
     CutCertificate,
     certify_cut,
     check_minimum_cut,
+    component_mask,
     is_connected,
     is_cut,
     minimum_cut_sets,
@@ -26,41 +34,91 @@ from .graph import Graph, bits, induced_subgraph
 
 class SearchBudgetExceeded(RuntimeError):
     def __init__(self, examined: int) -> None:
-        super().__init__(f"subset budget exceeded after {examined} candidates")
+        super().__init__(f"search budget exceeded after {examined} candidates")
         self.examined = examined
+
+
+def minimal_separators(g: Graph) -> Iterator[int]:
+    """Every minimal separator of g exactly once, as a bitmask.
+
+    Berry, Bordat & Cogis 1999: N(C) is a minimal separator for each
+    component C of G - N[v], and all of them are reached from these seeds by
+    S -> N(C) for each component C of G - (S | N(x)), x in S. A disconnected
+    graph yields the empty set among others; a complete graph yields nothing."""
+    rows, full = g.rows, g.full_mask
+    seen: set[int] = set()
+    regions = [full & ~rows[v] & ~(1 << v) for v in reversed(range(g.n))]
+    while regions:
+        region = regions.pop()
+        while region:
+            comp = component_mask(rows, region & -region, region)
+            region &= ~comp
+            sep = 0
+            for v in bits(comp):
+                sep |= rows[v]
+            sep &= ~comp
+            if sep not in seen:
+                seen.add(sep)
+                yield sep
+                regions += [full & ~sep & ~rows[x] for x in bits(sep)]
+
+
+def _small_degenerate_cut(g: Graph, k: int) -> int | None:
+    """A k-degenerate cut read off one neighbourhood, or None if none applies.
+
+    N(v0), v0 of minimum degree (lowest index on ties), if deg(v0) <= k+1 and
+    N[v0] != V, the only case with <= k+1 vertices; else, if n >= k+4, N(u) for
+    a degree-(k+2) u whose neighbours are not a clique. Graphs on <= k+1
+    vertices, and on k+2 vertices other than K_{k+2}, are k-degenerate."""
+    rows = g.rows
+    degrees = [r.bit_count() for r in rows]
+    nbr = rows[degrees.index(min(degrees))]
+    if nbr.bit_count() <= k + 1 and is_cut(g, nbr):
+        return nbr
+    if g.n >= k + 4:
+        for nbr in rows:
+            if nbr.bit_count() == k + 2 and any(
+                (rows[v] & nbr).bit_count() != k + 1 for v in bits(nbr)
+            ):
+                return nbr
+    return None
+
+
+def _check_order(g: Graph, k: int) -> None:
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
+    if g.n < k + 2:
+        raise ValueError(f"need at least k+2={k + 2} vertices, got {g.n}")
+
+
+def has_degenerate_cut(g: Graph, k: int) -> bool:
+    """Same boolean as `find_degenerate_cut(g, k) is not None`, with no
+    certificate: the neighbourhood shortcuts, then any minimal separator."""
+    _check_order(g, k)
+    return _small_degenerate_cut(g, k) is not None or any(
+        is_k_degenerate(induced_subgraph(g, s), k) for s in minimal_separators(g)
+    )
 
 
 def find_degenerate_cut(
     g: Graph, k: int, budget: int | None = None
 ) -> CutCertificate | None:
-    """First k-degenerate cut found, or None after exhausting all subsets.
+    """A k-degenerate cut, or None after trying every minimal separator.
 
     If some minimum-degree vertex u has degree <= k+1 and N[u] != V, its open
-    neighborhood is returned immediately: removing it isolates u while other
-    vertices survive, and any graph on <= k+1 vertices is k-degenerate.
-    Otherwise subsets are tried ascending by size, then lexicographically.
-    """
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    n = g.n
-    if n < k + 2:
-        raise ValueError(f"need at least k+2={k + 2} vertices, got {n}")
-    v0 = min(range(n), key=lambda v: (g.degree(v), v))
-    if g.degree(v0) <= k + 1:
-        closed = g.rows[v0] | (1 << v0)
-        if closed != g.full_mask:
-            return certify_cut(g, g.rows[v0])
-    examined = 0
-    for size in range(n - 1):
-        for combo in combinations(range(n), size):
-            examined += 1
-            if budget is not None and examined > budget:
-                raise SearchBudgetExceeded(examined - 1)
-            s_mask = 0
-            for v in combo:
-                s_mask |= 1 << v
-            if is_cut(g, s_mask) and is_k_degenerate(induced_subgraph(g, s_mask), k):
-                return certify_cut(g, s_mask)
+    neighborhood is returned immediately. Otherwise the first k-degenerate cut
+    by size, then lexicographically, is a minimal separator: the separators
+    are tried in that order, and the budget counts them."""
+    _check_order(g, k)
+    cut = _small_degenerate_cut(g, k)
+    if cut is not None and cut.bit_count() <= k + 1:
+        return certify_cut(g, cut)
+    ordered = sorted(minimal_separators(g), key=lambda s: (s.bit_count(), tuple(bits(s))))
+    for examined, s in enumerate(ordered, 1):
+        if budget is not None and examined > budget:
+            raise SearchBudgetExceeded(examined - 1)
+        if is_k_degenerate(induced_subgraph(g, s), k):
+            return certify_cut(g, s)
     return None
 
 
@@ -98,32 +156,7 @@ def exists_min_degenerate_cut(g: Graph, k: int) -> bool:
     the question. |S| >= kappa always, so either kappa <= k+1 -- then minimum
     cuts exist (the graph is not complete) and each has at most k+1 vertices,
     hence is k-degenerate -- or kappa = k+2 = |S| and S itself is a minimum
-    k-degenerate cut. Two such cuts are tried before falling back to the list
-    of all minimum cuts: the neighborhood of a vertex of degree <= k+1, and the neighborhood
-    of a degree-(k+2) vertex whose neighbors do not form a clique (a
-    non-complete graph on k+2 vertices is always k-degenerate).
-    """
-    if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
-    if g.is_complete():
-        raise ValueError("no cuts exist: graph is complete")
-    if not is_connected(g):
-        raise ValueError("graph must be connected")
-    n = g.n
-    rows = g.rows
-    if g.min_degree() <= k + 1:
-        return True
-    if n >= k + 4:
-        for u in range(n):
-            nbr = rows[u]
-            if nbr.bit_count() != k + 2:
-                continue
-            if all((rows[v] & nbr).bit_count() == k + 1 for v in bits(nbr)):
-                continue  # neighborhood induces a clique; proves nothing
-            return True
-    kappa = vertex_connectivity(g)
-    if kappa <= k + 1:
-        return True
-    return any(
-        is_k_degenerate(induced_subgraph(g, cut), k) for cut in minimum_cut_sets(g, kappa)
-    )
+    k-degenerate cut. `_small_degenerate_cut` finds such cuts on valid input;
+    otherwise `find_min_degenerate_cut` decides, or rejects the input."""
+    shortcut = k >= 2 and is_connected(g) and _small_degenerate_cut(g, k) is not None
+    return shortcut or find_min_degenerate_cut(g, k) is not None

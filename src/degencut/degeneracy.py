@@ -48,9 +48,9 @@ def max_k_core(g: Graph, k: int) -> CoreCertificate:
             if deg[w] == k:
                 low |= 1 << w
     core = tuple(bits(alive))
-    if core:
-        assert len(core) >= k + 2
-        assert all((g.rows[v] & alive).bit_count() >= k + 1 for v in core)
+    # k+1 neighbours inside the core also force it to hold k+2 vertices
+    if any((g.rows[v] & alive).bit_count() <= k for v in core):
+        raise RuntimeError(f"peeling left a vertex of degree <= {k} in {core}")
     return CoreCertificate(k, core)
 
 

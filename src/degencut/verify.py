@@ -24,9 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
-from .connectivity import is_connected, is_cut
-from .cut_search import exists_min_degenerate_cut, find_degenerate_cut
-from .degeneracy import max_k_core
+from .connectivity import is_connected
+from .cut_search import exists_min_degenerate_cut, has_degenerate_cut
 from .enumeration import (
     CANONICAL_MAX_N,
     EnumerationSpec,
@@ -34,7 +33,7 @@ from .enumeration import (
     enumerate_labeled,
     map_prefixes,
 )
-from .graph import Graph, bits, induced_subgraph
+from .graph import Graph, bits
 from .graph6 import to_graph6
 from .surd import QuadSurd
 
@@ -148,7 +147,7 @@ class VerificationReport:
 
 
 def _no_degenerate_cut(g: Graph, k: int) -> bool:
-    return g.n >= k + 2 and find_degenerate_cut(g, k) is None
+    return g.n >= k + 2 and not has_degenerate_cut(g, k)
 
 
 def evaluate(which: str, k: int, g: Graph) -> tuple[bool, str | None]:
@@ -249,20 +248,3 @@ def verify_theorem_exhaustive(
     report.seconds = time.perf_counter() - t0
     return report
 
-
-def spot_check_no_cut(g: Graph, k: int, rng, samples: int = 64) -> bool:
-    """Independent spot check after find_degenerate_cut returned None: random
-    cuts must all fail k-degeneracy (their induced subgraphs keep a k-core)."""
-    n = g.n
-    checked = 0
-    attempts = 0
-    while checked < samples and attempts < samples * 20:
-        attempts += 1
-        size = rng.randint(0, max(n - 2, 0))
-        s = rng.sample(range(n), size)
-        if not is_cut(g, s):
-            continue
-        checked += 1
-        if not max_k_core(induced_subgraph(g, s), k).core:
-            return False
-    return True

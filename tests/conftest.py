@@ -1,7 +1,5 @@
 import random
 
-import pytest
-
 from degencut import Graph, random_graph
 
 
@@ -12,8 +10,3 @@ def random_graph_stream(count: int, n_lo: int, n_hi: int, seed: int):
         n = rng.randint(n_lo, n_hi)
         p = rng.choice((0.2, 0.35, 0.5, 0.65, 0.8))
         yield random_graph(n, rng, p)
-
-
-@pytest.fixture
-def rng() -> random.Random:
-    return random.Random(0xDE9)

@@ -73,6 +73,44 @@ def brute_has_degenerate_cut(g: Graph, k: int) -> bool:
     return False
 
 
+def brute_minimal_separators(g: Graph) -> set[tuple[int, ...]]:
+    """Every S such that G - S has at least two components C with N(C) = S."""
+    out = set()
+    for size in range(g.n - 1):
+        for combo in combinations(range(g.n), size):
+            s = set(combo)
+            rest = set(range(g.n)) - s
+            full = 0
+            while rest:
+                comp = {rest.pop()}
+                stack = list(comp)
+                while stack:
+                    for w in g.neighbors(stack.pop()):
+                        if w in rest:
+                            rest.remove(w)
+                            comp.add(w)
+                            stack.append(w)
+                boundary = {w for v in comp for w in g.neighbors(v)} - comp
+                full += boundary == s
+            if full >= 2:
+                out.add(combo)
+    return out
+
+
+def brute_first_degenerate_cut(g: Graph, k: int) -> tuple[int, ...] | None:
+    """The documented witness of find_degenerate_cut: the open neighborhood of
+    the lowest-index minimum-degree vertex u when deg(u) <= k+1 and N[u] != V,
+    otherwise the first k-degenerate cut by size, then lexicographically."""
+    u = min(range(g.n), key=lambda v: (g.degree(v), v))
+    if g.degree(u) <= k + 1 and g.degree(u) < g.n - 1:
+        return g.neighbors(u)
+    for size in range(g.n - 1):
+        for combo in combinations(range(g.n), size):
+            if is_cut(g, combo) and ref_is_k_degenerate(induced_subgraph(g, combo), k):
+                return combo
+    return None
+
+
 def has_independent_cut(g: Graph) -> bool:
     """Some cut inducing no edges. Tries cheap shapes first, then everything."""
     n = g.n

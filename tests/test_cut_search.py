@@ -15,6 +15,7 @@ from degencut import (
     find_degenerate_cut,
     find_min_degenerate_cut,
     from_edges,
+    has_degenerate_cut,
     induced_subgraph,
     is_connected,
     join_extremal,
@@ -24,7 +25,15 @@ from degencut import (
     ring_of_cliques,
     RingSpec,
 )
-from oracles import brute_has_degenerate_cut, brute_minimum_cuts, ref_is_k_degenerate
+from degencut.cut_search import minimal_separators
+from degencut.graph import bits
+from oracles import (
+    brute_first_degenerate_cut,
+    brute_has_degenerate_cut,
+    brute_minimal_separators,
+    brute_minimum_cuts,
+    ref_is_k_degenerate,
+)
 
 
 def test_c5_first_independent_cut_is_0_2():
@@ -62,10 +71,26 @@ def test_find_degenerate_cut_validation():
         find_degenerate_cut(complete(3), 2)  # n < k+2
 
 
+def test_minimal_separators_match_brute_force():
+    rng = random.Random(0x5E9)
+    graphs = [random_graph(rng.randint(1, 9), rng, rng.random()) for _ in range(600)]
+    disconnected = from_edges(6, [(0, 1), (1, 2), (3, 4)])
+    graphs += [disconnected, complete(6), petersen()]
+    for g in graphs:
+        seps = [tuple(bits(s)) for s in minimal_separators(g)]
+        assert len(seps) == len(set(seps))
+        assert set(seps) == brute_minimal_separators(g)
+    assert 0 in set(minimal_separators(disconnected))
+    assert list(minimal_separators(complete(6))) == []
+
+
 def test_budget_exhaustion_is_distinct_from_none():
+    # budget counts minimal separators; none of the 43 of this ring is a forest
+    ring = ring_of_cliques(RingSpec(2, 3))
     with pytest.raises(SearchBudgetExceeded) as exc:
-        find_degenerate_cut(petersen(), 0, budget=10)
+        find_degenerate_cut(ring, 1, budget=10)
     assert exc.value.examined == 10
+    assert find_degenerate_cut(ring, 1, budget=43) is None
     # a completed search may return None; a budgeted abort never does silently
     assert find_degenerate_cut(complete(4), 2, budget=10_000) is None
 
@@ -139,9 +164,12 @@ def test_exists_shortcut_agrees_with_exhaustive_search():
 
 def test_find_agrees_with_brute_force_existence():
     rng = random.Random(43)
-    for _ in range(120):
-        g = random_graph(rng.randint(3, 7), rng, rng.choice((0.3, 0.6)))
-        for k in (0, 1, 2):
+    for _ in range(300):
+        g = random_graph(rng.randint(3, 9), rng, rng.choice((0.3, 0.6, 0.8)))
+        for k in (0, 1, 2, 3):
             if g.n < k + 2:
                 continue
-            assert (find_degenerate_cut(g, k) is not None) == brute_has_degenerate_cut(g, k)
+            cert = find_degenerate_cut(g, k)
+            exists = brute_has_degenerate_cut(g, k)
+            assert (cert is not None) == exists == has_degenerate_cut(g, k)
+            assert (cert.cut if cert else None) == brute_first_degenerate_cut(g, k)

@@ -23,7 +23,6 @@ from degencut import (
     join_extremal,
     random_ring_spec,
     ring_of_cliques,
-    spot_check_no_cut,
     to_graph6,
     verify_theorem,
     verify_theorem_exhaustive,
@@ -286,11 +285,6 @@ def test_exhaustive_flag_requires_enumeration_spec():
     # and the diamond among the isomorphism classes); both have min degree 2
     assert report.passed
     assert report.hypothesis_hits > 0
-
-
-def test_spot_check_no_cut(rng):
-    assert spot_check_no_cut(join_extremal(2, 8), 2, rng)
-    assert not spot_check_no_cut(cycle(5), 0, rng)
 
 
 def test_random_stream_verify_smoke():
