@@ -12,7 +12,10 @@ Subcommands:
 Graph input is graph6, one per line, from stdin or --input FILE. Results go
 to stdout (JSON, or graph6 for construct/enumerate); diagnostics to stderr.
 Exit status: 0 success or PASS, 2 counterexample found or no cut exists,
-1 usage or input errors.
+1 usage or input errors. In analyze, find-cut and min-cuts a bad line (graph6
+that does not parse, or a graph the command refuses, such as a complete graph
+for min-cuts) prints {"line": i, "error": ...} on stdout and the stream goes
+on; the exit status is then 1.
 """
 
 from __future__ import annotations
@@ -21,14 +24,16 @@ import argparse
 import json
 import random
 import sys
+from contextlib import nullcontext
+from typing import Callable
 
 from .connectivity import minimum_cuts, vertex_connectivity
 from .constructions import RingSpec, join_extremal, random_ring_spec, ring_of_cliques
 from .cut_search import find_degenerate_cut, find_min_degenerate_cut
 from .degeneracy import degeneracy
 from .enumeration import EnumerationSpec, enumerate_labeled, map_prefixes
-from .graph import random_graph
-from .graph6 import Graph6Error, iter_graph6, to_graph6
+from .graph import Graph, random_graph
+from .graph6 import iter_graph6, parse_graph6, to_graph6
 from .verify import THEOREMS, verify_theorem, verify_theorem_exhaustive
 
 
@@ -93,58 +98,83 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _open_input(path: str | None):
+    return nullcontext(sys.stdin) if path is None else open(path)
+
+
 def _graphs_from(path: str | None):
-    if path is None:
-        yield from (g for _, g in iter_graph6(sys.stdin))
-        return
-    with open(path) as fh:
+    with _open_input(path) as fh:
         yield from (g for _, g in iter_graph6(fh))
 
 
+def _each_graph(path: str | None, handle: Callable[[Graph], str]) -> int:
+    """Print `handle(g)` for the graph on each non-blank input line. A line
+    that does not parse, or whose graph `handle` refuses with ValueError,
+    prints {"line": i, "error": ...} instead, plus a message on stderr, and
+    the stream goes on. Returns 1 if any line failed, else 0."""
+    failed = False
+    with _open_input(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                record = handle(parse_graph6(line))
+            except ValueError as exc:
+                failed = True
+                print(json.dumps({"line": lineno, "error": str(exc)}))
+                print(f"degencut: error: line {lineno}: {exc}", file=sys.stderr)
+                continue
+            print(record)
+    return 1 if failed else 0
+
+
+def _analyze(g: Graph) -> str:
+    return json.dumps(
+        {
+            "n": g.n,
+            "m": g.m,
+            "min_degree": g.min_degree() if g.n else None,
+            "degeneracy": degeneracy(g),
+            "kappa": vertex_connectivity(g) if g.n >= 2 else None,
+        }
+    )
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    for g in _graphs_from(args.input):
-        print(
-            json.dumps(
-                {
-                    "n": g.n,
-                    "m": g.m,
-                    "min_degree": g.min_degree() if g.n else None,
-                    "degeneracy": degeneracy(g),
-                    "kappa": vertex_connectivity(g) if g.n >= 2 else None,
-                }
-            )
-        )
-    return 0
+    return _each_graph(args.input, _analyze)
 
 
 def _cmd_find_cut(args: argparse.Namespace) -> int:
     missing = False
     search = find_min_degenerate_cut if args.minimum else find_degenerate_cut
-    for g in _graphs_from(args.input):
+
+    def handle(g: Graph) -> str:
+        nonlocal missing
         cert = search(g, args.k)
         if cert is None:
             missing = True
-            print("none" if args.quiet else json.dumps({"found": False}))
-        elif args.quiet:
-            print("found")
-        else:
-            print(json.dumps({"found": True, **cert.to_json_dict()}))
-    return 2 if missing else 0
+            return "none" if args.quiet else json.dumps({"found": False})
+        if args.quiet:
+            return "found"
+        return json.dumps({"found": True, **cert.to_json_dict()})
+
+    return _each_graph(args.input, handle) or (2 if missing else 0)
+
+
+def _min_cuts(g: Graph) -> str:
+    cuts = minimum_cuts(g)
+    return json.dumps(
+        {
+            "kappa": len(cuts[0].cut),
+            "count": len(cuts),
+            "cuts": [c.to_json_dict() for c in cuts],
+        }
+    )
 
 
 def _cmd_min_cuts(args: argparse.Namespace) -> int:
-    for g in _graphs_from(args.input):
-        cuts = minimum_cuts(g)
-        print(
-            json.dumps(
-                {
-                    "kappa": len(cuts[0].cut),
-                    "count": len(cuts),
-                    "cuts": [c.to_json_dict() for c in cuts],
-                }
-            )
-        )
-    return 0
+    return _each_graph(args.input, _min_cuts)
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:

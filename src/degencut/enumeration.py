@@ -24,18 +24,12 @@ from __future__ import annotations
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Callable, Iterator, TypeVar
 
 from .connectivity import is_connected
 from .graph import Graph, bits
 
 T = TypeVar("T")
-
-CANONICAL_MAX_N = 8
-
-_PERM_CACHE: dict[int, list[tuple[int, ...]]] = {}
-
 
 @dataclass(frozen=True)
 class EnumerationSpec:
@@ -57,8 +51,6 @@ def _validated(spec: EnumerationSpec) -> tuple[int, int, int]:
     dmin = spec.min_degree or 0
     if dmin < 0:
         raise ValueError("min degree must be nonnegative")
-    if spec.iso_reject and n > CANONICAL_MAX_N:
-        raise ValueError(f"iso_reject is only supported for n <= {CANONICAL_MAX_N}")
     return m_lo, m_hi, dmin
 
 
@@ -153,28 +145,119 @@ def map_prefixes(
         yield from pool.map(task, [spec] * len(prefixes), prefixes)
 
 
+def _refine(rows: tuple[int, ...], cells: list[int]) -> list[int]:
+    """Coarsest equitable refinement of an ordered partition (cell bitmasks).
+
+    Each pass splits every cell by the signature of its vertices, the tuple
+    of their neighbour counts in every cell, and orders the sub-cells by
+    signature. A pass reads only cell positions and counts, never labels, so
+    relabeling the graph and the input partition relabels the output.
+    """
+    while True:
+        out = []
+        for cell in cells:
+            if not cell & (cell - 1):
+                out.append(cell)
+                continue
+            split: dict[tuple[int, ...], int] = {}
+            for v in bits(cell):
+                row = rows[v]
+                sig = tuple((row & c).bit_count() for c in cells)
+                split[sig] = split.get(sig, 0) | 1 << v
+            out.extend(split[sig] for sig in sorted(split))
+        if len(out) == len(cells):
+            return cells
+        cells = out
+
+
 def canonical_form(g: Graph) -> tuple[int, ...]:
-    """Minimum adjacency-row tuple over all vertex relabelings (n <= 8)."""
+    """Adjacency rows of `g` relabeled canonically: isomorphic graphs, and only
+    they, get equal tuples. Individualization-refinement, as in nauty and
+    Traces (McKay & Piperno 2014, "Practical graph isomorphism II").
+
+    The search tree starts at the equitable refinement of the one-cell
+    partition. A node whose partition is not discrete has one child per
+    vertex w of its first non-singleton cell: w split off in front of that
+    cell, then refined again. A leaf is a discrete partition, read as a
+    labeling (vertex -> position), and its key is the relabeled row tuple;
+    the result is the smallest key over the leaves.
+
+    Complete invariant: every step reads only cell positions and adjacency
+    counts, so an isomorphism s: G -> H maps the tree of G node for node
+    onto the tree of H, and a leaf labeling L of G to the leaf L o s^-1 of H
+    with the same key. Equal key sets give equal minima; a key is the graph
+    relabeled, so equal keys imply isomorphic graphs.
+
+    Pruning: two leaves with one key give an automorphism a of G (position
+    i of the one to position i of the other). A child w of a node with
+    individualized prefix P is skipped when w = b(u) for an earlier child u
+    and some b in the group generated by the automorphisms found so far that
+    fix P pointwise; b maps the subtree of u onto that of w, key for key. A
+    leaf whose key was met first at a leaf whose path agrees with its own up
+    to depth j, then differs, yields an a that fixes the first j vertices
+    and maps this path's vertex at depth j to the other's, an earlier child
+    of the same node; the search drops the rest of this subtree and resumes
+    at depth j. Either way the subtrees dropped are images of subtrees
+    already searched, so the minimum is unchanged.
+    """
     n = g.n
-    if n > CANONICAL_MAX_N:
-        raise ValueError(f"canonical_form is only supported for n <= {CANONICAL_MAX_N}")
-    if n not in _PERM_CACHE:
-        _PERM_CACHE[n] = list(permutations(range(n)))
     rows = g.rows
-    best: tuple[int, ...] | None = None
-    for p in _PERM_CACHE[n]:
-        relabeled = [0] * n
-        for v in range(n):
-            pv = p[v]
-            acc = 0
-            for w in bits(rows[v]):
-                acc |= 1 << p[w]
-            relabeled[pv] = acc
-        key = tuple(relabeled)
-        if best is None or key < best:
-            best = key
-    assert best is not None
-    return best
+    leaves: dict[tuple[int, ...], list[int]] = {}  # key -> vertex at each position
+    autos: list[list[int]] = []
+    path: list[int] = []
+
+    def search(cells: list[int]) -> int:
+        """Search below `cells`; return the depth at which the search resumes."""
+        depth = len(path)
+        cells = _refine(rows, cells)
+        target = next((i for i, c in enumerate(cells) if c & (c - 1)), None)
+        if target is None:
+            order = [c.bit_length() - 1 for c in cells]
+            pos = [0] * n
+            for i, v in enumerate(order):
+                pos[v] = i
+            key = tuple(
+                sum(1 << pos[w] for w in bits(rows[v])) for v in order
+            )
+            first = leaves.setdefault(key, order)
+            if first is order:
+                return depth
+            auto = [0] * n
+            for v, w in zip(order, first):
+                auto[v] = w
+            autos.append(auto)
+            return next(j for j, v in enumerate(path) if auto[v] != v)
+        cell = cells[target]
+        orbit = list(range(n))  # union-find over the prefix's stabilizer
+
+        def root(v: int) -> int:
+            while orbit[v] != v:
+                orbit[v] = orbit[orbit[v]]
+                v = orbit[v]
+            return v
+
+        used = 0  # automorphisms already merged into `orbit`
+        explored: list[int] = []
+        for w in bits(cell):
+            for auto in autos[used:]:
+                if all(auto[v] == v for v in path):
+                    for v in range(n):
+                        orbit[root(v)] = root(auto[v])
+            used = len(autos)
+            if any(root(u) == root(w) for u in explored):
+                continue
+            explored.append(w)
+            path.append(w)
+            split = cells[:target] + [1 << w, cell ^ 1 << w] + cells[target + 1 :]
+            resume = search(split)
+            path.pop()
+            if resume < depth:
+                return resume
+        return depth
+
+    if n:
+        search([(1 << n) - 1])
+    return min(leaves, default=())
 
 
 def canonical_graph(g: Graph) -> Graph:

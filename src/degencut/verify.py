@@ -11,9 +11,9 @@ Four built-in targets, each of the shape hypothesis => conclusion:
 
 A report counts every graph scanned, counts hypothesis hits, and records each
 conclusion failure as (graph6, reason). Violations are deduplicated by
-canonical form when n <= 8 (labeled streams hit an isomorphism class many
-times) and the stored graph6 string is the canonical representative, so any
-recorded violation can be re-verified from the string alone. All bound
+canonical form (labeled streams hit an isomorphism class many times) and the
+stored graph6 string is the canonical representative, so any recorded
+violation can be re-verified from the string alone. All bound
 comparisons are exact.
 """
 
@@ -27,7 +27,6 @@ from functools import partial
 from .connectivity import is_connected
 from .cut_search import exists_min_degenerate_cut, has_degenerate_cut
 from .enumeration import (
-    CANONICAL_MAX_N,
     EnumerationSpec,
     canonical_graph,
     enumerate_labeled,
@@ -205,7 +204,7 @@ def verify_theorem(
         report.hypothesis_hits += 1
         if reason is None:
             continue
-        key = to_graph6(canonical_graph(g)) if g.n <= CANONICAL_MAX_N else to_graph6(g)
+        key = to_graph6(canonical_graph(g))
         if key in seen:
             continue
         seen.add(key)

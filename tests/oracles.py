@@ -6,7 +6,7 @@ plain adjacency reads.
 """
 
 from decimal import Decimal, getcontext
-from itertools import combinations
+from itertools import combinations, permutations
 
 from degencut import Graph, induced_subgraph, is_cut
 
@@ -131,6 +131,27 @@ def has_independent_cut(g: Graph) -> bool:
             if is_cut(g, combo):
                 return True
     return False
+
+
+def _relabelings(g: Graph):
+    """Adjacency rows of g under each of the n! vertex renamings."""
+    adj = [g.neighbors(v) for v in range(g.n)]
+    for p in permutations(range(g.n)):
+        rows = [0] * g.n
+        for v, nbrs in enumerate(adj):
+            for w in nbrs:
+                rows[p[v]] |= 1 << p[w]
+        yield tuple(rows)
+
+
+def brute_canonical_form(g: Graph) -> tuple[int, ...]:
+    """Minimum adjacency-row tuple over all n! vertex relabelings."""
+    return min(_relabelings(g))
+
+
+def brute_automorphism_count(g: Graph) -> int:
+    """Number of vertex permutations that map g onto itself."""
+    return sum(rows == g.rows for rows in _relabelings(g))
 
 
 def surd_decimal(x) -> Decimal:

@@ -227,6 +227,19 @@ def test_bad_graph6_input(tmp_path, capsys):
     assert err.startswith("degencut: error: line 2:")
 
 
+def test_min_cuts_and_minimum_find_cut_go_past_a_complete_graph(tmp_path, capsys):
+    path = write_graphs(tmp_path, cycle(4), complete(4), cycle(5))
+    for argv in (["min-cuts"], ["find-cut", "--k", "2", "--minimum"]):
+        assert main([*argv, "--input", path]) == 1
+        captured = capsys.readouterr()
+        first, error, last = map(json.loads, captured.out.splitlines())
+        assert error == {"line": 2, "error": "no cuts exist: graph is complete"}
+        assert "error" not in first and "error" not in last
+        assert captured.err == (
+            "degencut: error: line 2: no cuts exist: graph is complete\n"
+        )
+
+
 def test_missing_file(capsys):
     rc = main(["analyze", "--input", "/nonexistent/nope.g6"])
     assert rc == 1
@@ -246,6 +259,21 @@ def test_entry_point_pipes_stdin():
         "degeneracy": 4,
         "kappa": 4,
     }
+
+
+def test_stream_goes_past_a_bad_line():
+    out = run_cli("analyze", input="D~{\nbad\nD~{\n")
+    assert out.returncode == 1
+    first, error, last = map(json.loads, out.stdout.splitlines())
+    assert first == last == {
+        "n": 5,
+        "m": 10,
+        "min_degree": 4,
+        "degeneracy": 4,
+        "kappa": 4,
+    }
+    assert error["line"] == 2 and error["error"]
+    assert out.stderr.startswith("degencut: error: line 2:")
 
 
 def test_module_invocation():

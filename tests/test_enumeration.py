@@ -1,22 +1,30 @@
 """Labeled graph streams: exact counts, deterministic order, prefix splitting
-that tiles the sequential stream, and small-n isomorphism rejection."""
+that tiles the sequential stream, and isomorphism rejection by canonical
+labeling, checked against the n! brute-force form and by orbit counting."""
 
 import random
 from collections import Counter
+from math import factorial
 
 import pytest
 
 from degencut import (
     EnumerationSpec,
     Graph,
+    RingSpec,
     canonical_form,
     canonical_graph,
     complete,
+    cycle,
     enumerate_labeled,
+    from_edges,
     partition_prefixes,
+    petersen,
     random_graph,
+    ring_of_cliques,
 )
-from degencut.enumeration import CANONICAL_MAX_N
+
+from oracles import brute_automorphism_count, brute_canonical_form
 
 
 def all_of(spec, prefix=()):
@@ -119,9 +127,18 @@ def test_iso_reject_counts():
     assert len(all_of(EnumerationSpec(4, iso_reject=True, connected_only=True))) == 6
 
 
-def test_iso_reject_bounds():
-    with pytest.raises(ValueError):
-        list(enumerate_labeled(EnumerationSpec(9, iso_reject=True)))
+def test_iso_reject_past_eight_vertices():
+    # min degree 7 on 9 vertices: the complements are the matchings of K_9,
+    # so the classes are K_9 minus a matching of 0..4 edges
+    classes = all_of(EnumerationSpec(9, min_degree=7, iso_reject=True))
+    assert sorted(g.m for g in classes) == [32, 33, 34, 35, 36]
+    # |Aut(K_9 minus j matching edges)| = 2^j j! (9-2j)!
+    orbits = sum(
+        factorial(9) // (2**j * factorial(j) * factorial(9 - 2 * j))
+        for j in (36 - g.m for g in classes)
+    )
+    assert orbits == 2620
+    assert len(all_of(EnumerationSpec(9, min_degree=7))) == 2620
 
 
 def test_spec_validation():
@@ -136,30 +153,100 @@ def test_spec_validation():
         list(enumerate_labeled(EnumerationSpec(50, edge_range=(0, 1))))
 
 
+def relabel(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    rows = [0] * g.n
+    for u in range(g.n):
+        for v in g.neighbors(u):
+            rows[perm[u]] |= 1 << perm[v]
+    return Graph(g.n, tuple(rows))
+
+
 def test_canonical_form_is_isomorphism_invariant():
     rng = random.Random(31)
     for _ in range(60):
-        n = rng.randint(1, 6)
-        g = random_graph(n, rng, 0.5)
-        perm = list(range(n))
-        rng.shuffle(perm)
-        rows = [0] * n
-        for u in range(n):
-            for v in g.neighbors(u):
-                rows[perm[u]] |= 1 << perm[v]
-        h = Graph(n, tuple(rows))
+        g = random_graph(rng.randint(1, 6), rng, 0.5)
+        h = relabel(g, rng)
         assert canonical_form(g) == canonical_form(h)
         assert canonical_graph(g) == canonical_graph(h)
 
 
+def test_canonical_form_is_invariant_past_eight_vertices():
+    rng = random.Random(32)
+    # a path, a 4-cycle, a triangle and an isolated vertex: automorphisms
+    # found in one component must not cut the search short in another
+    mixed = from_edges(
+        12,
+        [(0, 2), (1, 2), (1, 3), (4, 5), (4, 7), (5, 6), (6, 7)]
+        + [(8, 10), (8, 11), (10, 11)],
+    )
+    graphs = [complete(12), cycle(30), petersen(), ring_of_cliques(RingSpec(3, 4)), mixed]
+    graphs += [random_graph(rng.randint(9, 30), rng, rng.random()) for _ in range(40)]
+    for g in graphs:
+        form = canonical_form(g)
+        assert sorted(r.bit_count() for r in form) == sorted(g.degrees())
+        for _ in range(3):
+            assert canonical_form(relabel(g, rng)) == form
+
+
 def test_canonical_form_separates_nonisomorphic():
-    from degencut import cycle, path
+    from degencut import path
 
     a = canonical_form(cycle(5))
     b = canonical_form(path(5))
     assert a != b
 
 
-def test_canonical_cap():
-    with pytest.raises(ValueError):
-        canonical_form(random_graph(CANONICAL_MAX_N + 1, random.Random(0), 0.5))
+def test_canonical_classes_match_brute_force_on_all_five_vertex_graphs():
+    graphs = all_of(EnumerationSpec(5))
+    fast = [canonical_form(g) for g in graphs]
+    slow = [brute_canonical_form(g) for g in graphs]
+    assert len(set(fast)) == len(set(slow)) == len(set(zip(fast, slow))) == 34
+
+
+def test_canonical_classes_match_brute_force_on_random_pairs():
+    # h is g relabeled, after a degree-preserving edge switch half the time,
+    # so pairs that refinement by degrees alone cannot tell apart are common
+    rng = random.Random(33)
+    same = 0
+    for n, count in ((6, 40), (7, 20), (8, 5)):
+        for _ in range(count):
+            g = random_graph(n, rng, 0.5)
+            h = relabel(g, rng)
+            if rng.random() < 0.5:
+                h = switch_one_edge_pair(h, rng)
+            fast = canonical_form(g) == canonical_form(h)
+            assert fast == (brute_canonical_form(g) == brute_canonical_form(h))
+            same += fast
+    assert 0 < same < 65
+
+
+def switch_one_edge_pair(g, rng):
+    """Replace edges ab, cd by ac, bd when that keeps the graph simple."""
+    edges = list(g.edges())
+    rng.shuffle(edges)
+    for (a, b), (c, d) in zip(edges, edges[1:]):
+        if len({a, b, c, d}) == 4 and not g.has_edge(a, c) and not g.has_edge(b, d):
+            rows = list(g.rows)
+            for u, v in ((a, b), (c, d), (a, c), (b, d)):
+                rows[u] ^= 1 << v
+                rows[v] ^= 1 << u
+            return Graph(g.n, tuple(rows))
+    return g
+
+
+@pytest.mark.parametrize(
+    "spec, labeled, classes",
+    [
+        (EnumerationSpec(5, iso_reject=True), 1024, 34),
+        (EnumerationSpec(6, min_degree=4, iso_reject=True), 76, 4),
+        (EnumerationSpec(7, min_degree=4, iso_reject=True), 15796, 29),
+    ],
+)
+def test_iso_reject_classes_cover_the_labeled_space(spec, labeled, classes):
+    # orbit-stabilizer: a class of G holds n!/|Aut(G)| labeled graphs
+    reps = all_of(spec)
+    assert len(reps) == classes
+    n = spec.n
+    assert sum(factorial(n) // brute_automorphism_count(g) for g in reps) == labeled

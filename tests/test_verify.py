@@ -1,6 +1,7 @@
 """Verification layer: exact bound predicates, per-vertex claims, report
 aggregation, dedup, and the parallel scan agreeing with the sequential one."""
 
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,6 +13,7 @@ from degencut import (
     QuadSurd,
     bound_thm1,
     bound_thm2,
+    canonical_graph,
     check_claim1,
     check_claim2,
     check_min_degree,
@@ -21,6 +23,7 @@ from degencut import (
     from_edges,
     hyp_thm3,
     join_extremal,
+    random_graph,
     random_ring_spec,
     ring_of_cliques,
     to_graph6,
@@ -264,6 +267,23 @@ def test_verify_dedups_repeated_violations():
     assert report.scanned == 2
     assert report.hypothesis_hits == 2
     assert len(report.violations) == 1
+
+
+def test_verify_dedups_violations_past_eight_vertices(monkeypatch):
+    # every graph reported as a violation: two labelings of one 9-vertex
+    # graph must collapse to one record, keyed by the canonical graph6
+    import degencut.verify as verify
+
+    monkeypatch.setattr(verify, "evaluate", lambda which, k, g: (True, "forced"))
+    rng = random.Random(9)
+    g = random_graph(9, rng, 0.5)
+    perm = list(range(9))
+    rng.shuffle(perm)
+    h = from_edges(9, [(perm[u], perm[v]) for u, v in g.edges()])
+    assert g != h
+    report = verify_theorem("thm2", 2, [g, h])
+    assert report.hypothesis_hits == 2
+    assert [v.graph6 for v in report.violations] == [to_graph6(canonical_graph(g))]
 
 
 def test_exhaustive_scan_matches_across_jobs():
