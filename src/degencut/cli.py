@@ -15,7 +15,8 @@ Exit status: 0 success or PASS, 2 counterexample found or no cut exists,
 1 usage or input errors. In analyze, find-cut and min-cuts a bad line (graph6
 that does not parse, or a graph the command refuses, such as a complete graph
 for min-cuts) prints {"line": i, "error": ...} on stdout and the stream goes
-on; the exit status is then 1.
+on; the exit status is then 1. verify --input names a line that does not
+parse on stderr only, scans on, and exits 1 after its report.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import json
 import random
 import sys
 from contextlib import nullcontext
-from typing import Callable
+from typing import Callable, Iterator
 
 from .connectivity import minimum_cuts, vertex_connectivity
 from .constructions import RingSpec, join_extremal, random_ring_spec, ring_of_cliques
@@ -33,7 +34,7 @@ from .cut_search import find_degenerate_cut, find_min_degenerate_cut
 from .degeneracy import degeneracy
 from .enumeration import EnumerationSpec, enumerate_labeled, map_prefixes
 from .graph import Graph, random_graph
-from .graph6 import iter_graph6, parse_graph6, to_graph6
+from .graph6 import parse_graph6, to_graph6
 from .verify import THEOREMS, verify_theorem, verify_theorem_exhaustive
 
 
@@ -98,13 +99,25 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _open_input(path: str | None):
-    return nullcontext(sys.stdin) if path is None else open(path)
+def _input_lines(path: str | None) -> Iterator[tuple[int, str]]:
+    """(line number, stripped text) for each non-blank line of path, or of stdin."""
+    with nullcontext(sys.stdin) if path is None else open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if line := raw.strip():
+                yield lineno, line
 
 
-def _graphs_from(path: str | None):
-    with _open_input(path) as fh:
-        yield from (g for _, g in iter_graph6(fh))
+def _input_graphs(path: str | None, failed: list[int]) -> Iterator[Graph]:
+    """The graph on each input line that parses. A line that does not is
+    named on stderr, its number goes on failed, and the stream goes on."""
+    for lineno, line in _input_lines(path):
+        try:
+            g = parse_graph6(line)
+        except ValueError as exc:
+            failed.append(lineno)
+            print(f"degencut: error: line {lineno}: {exc}", file=sys.stderr)
+            continue
+        yield g
 
 
 def _each_graph(path: str | None, handle: Callable[[Graph], str]) -> int:
@@ -113,19 +126,15 @@ def _each_graph(path: str | None, handle: Callable[[Graph], str]) -> int:
     prints {"line": i, "error": ...} instead, plus a message on stderr, and
     the stream goes on. Returns 1 if any line failed, else 0."""
     failed = False
-    with _open_input(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = handle(parse_graph6(line))
-            except ValueError as exc:
-                failed = True
-                print(json.dumps({"line": lineno, "error": str(exc)}))
-                print(f"degencut: error: line {lineno}: {exc}", file=sys.stderr)
-                continue
-            print(record)
+    for lineno, line in _input_lines(path):
+        try:
+            record = handle(parse_graph6(line))
+        except ValueError as exc:
+            failed = True
+            print(json.dumps({"line": lineno, "error": str(exc)}))
+            print(f"degencut: error: line {lineno}: {exc}", file=sys.stderr)
+            continue
+        print(record)
     return 1 if failed else 0
 
 
@@ -202,6 +211,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("choose exactly one of --exhaustive, --input, --sample")
     if (args.exhaustive or args.sample is not None) and args.n is None:
         raise ValueError("--n is required with --exhaustive / --sample")
+    failed: list[int] = []
     if args.exhaustive:
         spec = EnumerationSpec(
             n=args.n,
@@ -211,7 +221,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
         report = verify_theorem_exhaustive(args.which, k, spec, jobs=args.jobs)
     elif args.input is not None:
-        report = verify_theorem(args.which, k, _graphs_from(args.input))
+        report = verify_theorem(args.which, k, _input_graphs(args.input, failed))
     else:
         rng = random.Random(args.seed)
         stream = (random_graph(args.n, rng) for _ in range(args.sample))
@@ -220,7 +230,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print("PASS" if report.passed else "FAIL")
     else:
         print(json.dumps(report.to_json_dict()))
-    return 0 if report.passed else 2
+    return 1 if failed else 0 if report.passed else 2
 
 
 def _enumerate_task(spec: EnumerationSpec, prefix: tuple[int, ...]) -> list[str]:

@@ -213,20 +213,6 @@ def _max_flow(rows: Sequence[int], s: int, t: int, cutoff: int) -> tuple[int, li
     return flow, res
 
 
-def _reach(res: list[int], seeds: int, closed: int) -> int:
-    """The closed set `closed` grown by every node reachable from seeds."""
-    new = seeds & ~closed
-    while new:
-        closed |= new
-        grow = 0
-        while new:
-            low = new & -new
-            grow |= res[low.bit_length() - 1]
-            new ^= low
-        new = grow & ~closed
-    return closed
-
-
 def _eh_pairs(g: Graph) -> Iterator[tuple[int, int]]:
     """Non-adjacent pairs whose minimum separators include every minimum cut.
 
@@ -259,29 +245,28 @@ def vertex_connectivity(g: Graph) -> int:
     return best
 
 
-def _min_separators(rows: list[int], s: int, t: int, kappa: int, out: list[int]) -> None:
+def _min_separators(res: list[int], s: int, t: int, kappa: int, out: list[int]) -> None:
     """Append every s-t separator of size kappa to out, each once, as a bitmask.
 
-    The residual network of a maximum flow has one closed set X (s_out in X,
-    t_in not, no residual arc leaving X) per minimum cut of the split network
-    (Picard & Queyranne 1980). Such a cut has capacity kappa, equal to the
-    flow, so no flow re-enters X and each of the kappa flow paths crosses it
+    res is the residual network of kappa s-t paths from `_max_flow`. If t_in
+    is still reachable from s_out there are more, and nothing is appended.
+    Otherwise the flow is maximum, and its residual network has one closed set
+    X (s_out in X, t_in not, no residual arc leaving X) per minimum cut of the
+    split network (Picard & Queyranne 1980). Such a cut has capacity kappa,
+    equal to the flow, so no flow re-enters X and each flow path crosses it
     exactly once, at a unit arc v_in -> v_out: its separator S takes one
     internal vertex from each path. Conversely a choice of one vertex per path
-    is a separator exactly when X = reach(s_out and the chosen in-nodes)
-    holds neither t_in nor a chosen out-node, and that X is the unique minimal
-    closed set for S; so each separator comes from exactly one choice. Along a
-    path the reach only grows, so once a choice takes in t_in or an earlier
-    chosen out-node, every later vertex of that path fails too. A partial choice
-    that passes always extends: on each remaining path, the first vertex whose
+    is a separator exactly when X = reach(s_out and the chosen in-nodes) holds
+    neither t_in nor a chosen out-node, and that X is the unique minimal closed
+    set for S; so each separator comes from exactly one choice. Along a path
+    the reach only grows, so once a choice takes in t_in or an earlier chosen
+    out-node, every later vertex of that path fails too. A partial choice that
+    passes always extends: on each remaining path, the first vertex whose
     out-node lies outside X adds nothing to X.
     """
-    flow, res = _max_flow(rows, s, t, kappa)
-    if flow < kappa:
-        raise ValueError(f"kappa={kappa} exceeds the local connectivity {flow}")
-    n = len(rows)
+    n = len(res) // 2
     t_in = 1 << t
-    closed = _reach(res, 1 << (s + n), 0)
+    closed = component_mask(res, 1 << (s + n), -1)
     if closed & t_in:
         return  # the local connectivity of s and t exceeds kappa
     # flow runs y_out -> x_in exactly when res[x] holds y_out
@@ -308,7 +293,8 @@ def _min_separators(rows: list[int], s: int, t: int, kappa: int, out: list[int])
             v_out = 1 << (v + n)
             if closed & v_out:
                 continue
-            grown = _reach(res, 1 << v, closed)
+            # closed is closed under residual arcs: a seed inside it adds nothing
+            grown = closed | component_mask(res, 1 << v, ~closed)
             if grown & (t_in | chosen_out):
                 break
             if not grown & v_out:
@@ -317,26 +303,32 @@ def _min_separators(rows: list[int], s: int, t: int, kappa: int, out: list[int])
     choose(0, closed, 0, 0)
 
 
-def minimum_cut_sets(g: Graph, kappa: int) -> list[tuple[int, ...]]:
+def minimum_cut_sets(g: Graph) -> list[tuple[int, ...]]:
     """All vertex cuts of size kappa = vertex_connectivity(g), in lex order.
 
-    Completeness: every minimum cut S separates some pair from `_eh_pairs`,
-    and is then a minimum separator of that pair, since no separator of any
-    pair is smaller than kappa. `_min_separators` lists all minimum separators
-    of a pair whose local connectivity is kappa. After a pair is done, the
-    edge s-t is added (as in Kanevsky 1993), so later pairs skip the cuts
-    that separate s from t. That edge lies inside a component of G - S, or
-    touches S, for every cut S that separates no earlier pair, so such an S
-    keeps its components and is still found at the first pair it separates.
-    A cut with three or more components can separate a later pair as well,
-    hence the set.
+    One pass over `_eh_pairs` keeps the least pair flow `best` (each flow is
+    cut off at best, which starts at the minimum degree) and the separators of
+    size best, cleared whenever best drops. After each pair the edge s-t is
+    added (Kanevsky 1993), so each flow runs on a supergraph G' of G in which
+    s, t are still non-adjacent: every flow is at least kappa. A minimum cut S
+    separates some pair; take the first. Each edge added before it lies inside
+    a component of G - S or touches S, so S still separates that pair in G':
+    its flow is exactly kappa, best is kappa from that pair on, and S is
+    listed there. Every set left at the end has size kappa and separates s
+    from t in some G' that contains G, so it is a cut of G. A cut with three
+    or more components can separate a later pair as well, hence the set.
     """
-    if kappa == 0:
+    if not is_connected(g):
         return [()]
     rows = list(g.rows)
+    best = g.min_degree()
     found: list[int] = []
     for s, t in _eh_pairs(g):
-        _min_separators(rows, s, t, kappa, found)
+        flow, res = _max_flow(rows, s, t, best)
+        if flow < best:
+            best = flow
+            found.clear()
+        _min_separators(res, s, t, best, found)
         rows[s] |= 1 << t
         rows[t] |= 1 << s
     return sorted(tuple(bits(cut)) for cut in set(found))
@@ -351,7 +343,7 @@ def minimum_cuts(g: Graph) -> list[CutCertificate]:
     """
     if g.is_complete():
         raise ValueError("no cuts exist: graph is complete")
-    certs = [certify_cut(g, cut) for cut in minimum_cut_sets(g, vertex_connectivity(g))]
+    certs = [certify_cut(g, cut) for cut in minimum_cut_sets(g)]
     for cert in certs:
         check_minimum_cut(g, cert)
     return certs

@@ -26,7 +26,6 @@ from .connectivity import (
     is_connected,
     is_cut,
     minimum_cut_sets,
-    vertex_connectivity,
 )
 from .degeneracy import is_k_degenerate
 from .graph import Graph, bits, induced_subgraph
@@ -138,7 +137,7 @@ def find_min_degenerate_cut(
         raise ValueError("no cuts exist: graph is complete")
     if not is_connected(g):
         raise ValueError("graph must be connected")
-    cuts = minimum_cut_sets(g, vertex_connectivity(g))
+    cuts = minimum_cut_sets(g)
     for examined, cut in enumerate(cuts, 1):
         if budget is not None and examined > budget:
             raise SearchBudgetExceeded(examined - 1)

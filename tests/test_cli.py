@@ -227,6 +227,17 @@ def test_bad_graph6_input(tmp_path, capsys):
     assert err.startswith("degencut: error: line 2:")
 
 
+def test_verify_input_goes_past_a_bad_line(tmp_path, capsys):
+    f = tmp_path / "mixed.g6"
+    f.write_text("D~{\nbad\nD~{\n")
+    rc = main(["verify", "thm2", "--input", str(f)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert json.loads(captured.out)["scanned"] == 2
+    assert captured.err.startswith("degencut: error: line 2:")
+    assert captured.err.count("\n") == 1
+
+
 def test_min_cuts_and_minimum_find_cut_go_past_a_complete_graph(tmp_path, capsys):
     path = write_graphs(tmp_path, cycle(4), complete(4), cycle(5))
     for argv in (["min-cuts"], ["find-cut", "--k", "2", "--minimum"]):

@@ -15,6 +15,7 @@ from degencut import (
     is_cut,
     join,
     minimum_cuts,
+    parse_graph6,
     path,
     petersen,
     random_graph,
@@ -170,7 +171,17 @@ def test_minimum_cuts_match_subset_scan():
         if g.is_complete():
             continue
         checked += 1
-        assert [c.cut for c in minimum_cuts(g)] == brute_minimum_cuts(g)
+        cuts = [c.cut for c in minimum_cuts(g)]
+        assert cuts == brute_minimum_cuts(g)
+        assert {len(cut) for cut in cuts} == {vertex_connectivity(g)}
+
+
+def test_minimum_cuts_drop_the_cuts_listed_before_kappa_is_known():
+    # a 4-cycle 0-1-2-3 and a triangle 0-4-5 sharing vertex 0: the first pair
+    # (1, 3) lists the 2-separator {0, 2} before pair (1, 4) finds kappa = 1
+    g = parse_graph6("ElaG")
+    assert g == from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 0)])
+    assert [c.cut for c in minimum_cuts(g)] == [(0,)] == brute_minimum_cuts(g)
 
 
 def test_check_minimum_cut_rejects_a_cut_that_is_not_minimum():
