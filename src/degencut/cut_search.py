@@ -53,13 +53,20 @@ def minimal_separators(g: Graph) -> Iterator[int]:
             comp = component_mask(rows, region & -region, region)
             region &= ~comp
             sep = 0
-            for v in bits(comp):
-                sep |= rows[v]
+            rest = comp
+            while rest:
+                low = rest & -rest
+                sep |= rows[low.bit_length() - 1]
+                rest ^= low
             sep &= ~comp
             if sep not in seen:
                 seen.add(sep)
                 yield sep
-                regions += [full & ~sep & ~rows[x] for x in bits(sep)]
+                rest = sep
+                while rest:
+                    low = rest & -rest
+                    regions.append(full & ~sep & ~rows[low.bit_length() - 1])
+                    rest ^= low
 
 
 def _small_degenerate_cut(g: Graph, k: int) -> int | None:
@@ -70,16 +77,18 @@ def _small_degenerate_cut(g: Graph, k: int) -> int | None:
     a degree-(k+2) u whose neighbours are not a clique. Graphs on <= k+1
     vertices, and on k+2 vertices other than K_{k+2}, are k-degenerate."""
     rows = g.rows
-    degrees = [r.bit_count() for r in rows]
-    nbr = rows[degrees.index(min(degrees))]
+    nbr = min(rows, key=int.bit_count)
     if nbr.bit_count() <= k + 1 and is_cut(g, nbr):
         return nbr
     if g.n >= k + 4:
         for nbr in rows:
-            if nbr.bit_count() == k + 2 and any(
-                (rows[v] & nbr).bit_count() != k + 1 for v in bits(nbr)
-            ):
-                return nbr
+            if nbr.bit_count() == k + 2:
+                rest = nbr
+                while rest:
+                    low = rest & -rest
+                    if (rows[low.bit_length() - 1] & nbr).bit_count() != k + 1:
+                        return nbr
+                    rest ^= low
     return None
 
 
@@ -121,6 +130,15 @@ def find_degenerate_cut(
     return None
 
 
+def _check_min_cut_input(g: Graph, k: int) -> None:
+    if k < 2:
+        raise ValueError(f"k must be at least 2, got {k}")
+    if g.is_complete():
+        raise ValueError("no cuts exist: graph is complete")
+    if not is_connected(g):
+        raise ValueError("graph must be connected")
+
+
 def find_min_degenerate_cut(
     g: Graph, k: int, budget: int | None = None
 ) -> CutCertificate | None:
@@ -131,12 +149,7 @@ def find_min_degenerate_cut(
     all. The optional budget counts minimum cuts examined, after they are
     listed. Requires k >= 2 and a connected, non-complete graph.
     """
-    if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
-    if g.is_complete():
-        raise ValueError("no cuts exist: graph is complete")
-    if not is_connected(g):
-        raise ValueError("graph must be connected")
+    _check_min_cut_input(g, k)
     cuts = minimum_cut_sets(g)
     for examined, cut in enumerate(cuts, 1):
         if budget is not None and examined > budget:
@@ -148,6 +161,15 @@ def find_min_degenerate_cut(
     return None
 
 
+def _has_min_degenerate_cut(g: Graph, k: int) -> bool:
+    """`exists_min_degenerate_cut` for a connected g and k >= 2, unchecked:
+    the neighbourhood shortcuts, else `find_min_degenerate_cut`."""
+    return (
+        _small_degenerate_cut(g, k) is not None
+        or find_min_degenerate_cut(g, k) is not None
+    )
+
+
 def exists_min_degenerate_cut(g: Graph, k: int) -> bool:
     """Same boolean as `find_min_degenerate_cut(g, k) is not None`, but cheap.
 
@@ -156,6 +178,6 @@ def exists_min_degenerate_cut(g: Graph, k: int) -> bool:
     cuts exist (the graph is not complete) and each has at most k+1 vertices,
     hence is k-degenerate -- or kappa = k+2 = |S| and S itself is a minimum
     k-degenerate cut. `_small_degenerate_cut` finds such cuts on valid input;
-    otherwise `find_min_degenerate_cut` decides, or rejects the input."""
-    shortcut = k >= 2 and is_connected(g) and _small_degenerate_cut(g, k) is not None
-    return shortcut or find_min_degenerate_cut(g, k) is not None
+    otherwise `find_min_degenerate_cut` decides."""
+    _check_min_cut_input(g, k)
+    return _has_min_degenerate_cut(g, k)

@@ -13,15 +13,14 @@ Every leaf the walk reaches qualifies, and no prune drops a qualifying graph:
   of max(0, min_degree - degree), n * min_degree at the root. One edge
   lowers need by at most 2, so every completion adds at least ceil(need/2).
 
-The walk takes one stack frame per slot, so under the default recursion
-limit it refuses n above 42. The streams of `partition_prefixes(spec, t)`,
-in list order, concatenate to the sequential stream; `map_prefixes` runs
-them on worker processes.
+The walk is one loop that keeps its per-slot state in arrays, so it needs no
+stack frame per slot and puts no cap on n. The streams of
+`partition_prefixes(spec, t)`, in list order, concatenate to the sequential
+stream; `map_prefixes` runs them on worker processes.
 """
 
 from __future__ import annotations
 
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, TypeVar
@@ -57,44 +56,64 @@ def _validated(spec: EnumerationSpec) -> tuple[int, int, int]:
 def _iter_rows(
     n: int, m_lo: int, m_hi: int, dmin: int, prefix: tuple[int, ...]
 ) -> Iterator[tuple[int, ...]]:
-    """Yield adjacency row tuples for every graph meeting the constraints."""
+    """Yield adjacency row tuples for every graph meeting the constraints.
+
+    One loop walks the slot tree: `branch[i]` is 0 while slot i is undecided,
+    1 inside its absent branch and 2 inside its present branch. Leaving a
+    present branch restores the edge count m and the deficit need exactly."""
     slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
     num = len(slots)
     if dmin > max(n - 1, 0) or (n * dmin + 1) // 2 > m_hi:
         return
     if len(prefix) > num:
         raise ValueError("prefix longer than the slot list")
-    if num + 100 > sys.getrecursionlimit():
-        raise ValueError(f"{num} edge slots: the walk takes one stack frame per slot")
-    choices = [(b,) for b in prefix] + [(0, 1)] * (num - len(prefix))
+    absent_ok = [b == 0 for b in prefix] + [True] * (num - len(prefix))
+    present_ok = [b == 1 for b in prefix] + [True] * (num - len(prefix))
     rows = [0] * n
     deg = [0] * n
     slack = [n - 1 - dmin] * n  # absent slots each vertex can still afford
-
-    def walk(i: int, m: int, need: int) -> Iterator[tuple[int, ...]]:
+    branch = [0] * num
+    m, need = 0, n * dmin
+    i = 0
+    while i >= 0:
         if i == num:
             yield tuple(rows)
-            return
+            i -= 1
+            continue
         u, v = slots[i]
-        if 0 in choices[i] and slack[u] and slack[v] and m + num - i > m_lo:
-            slack[u] -= 1
-            slack[v] -= 1
-            yield from walk(i + 1, m, need)
+        state = branch[i]
+        if state == 0:
+            if absent_ok[i] and slack[u] and slack[v] and m + num - i > m_lo:
+                slack[u] -= 1
+                slack[v] -= 1
+                branch[i] = 1
+                i += 1
+                continue
+        elif state == 1:
             slack[u] += 1
             slack[v] += 1
-        after = need - (deg[u] < dmin) - (deg[v] < dmin)
-        if 1 in choices[i] and m + 1 + (after + 1) // 2 <= m_hi:
-            deg[u] += 1
-            deg[v] += 1
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-            yield from walk(i + 1, m + 1, after)
+        else:
             deg[u] -= 1
             deg[v] -= 1
             rows[u] ^= 1 << v
             rows[v] ^= 1 << u
-
-    yield from walk(0, 0, n * dmin)
+            m -= 1
+            need += (deg[u] < dmin) + (deg[v] < dmin)
+            branch[i] = 0
+            i -= 1
+            continue
+        after = need - (deg[u] < dmin) - (deg[v] < dmin)
+        if present_ok[i] and m + 1 + (after + 1) // 2 <= m_hi:
+            deg[u] += 1
+            deg[v] += 1
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+            m, need = m + 1, after
+            branch[i] = 2
+            i += 1
+            continue
+        branch[i] = 0
+        i -= 1
 
 
 def enumerate_labeled(

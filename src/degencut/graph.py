@@ -41,7 +41,7 @@ class Graph:
     @property
     def m(self) -> int:
         if self._m < 0:
-            self._m = sum(r.bit_count() for r in self.rows) // 2
+            self._m = sum(map(int.bit_count, self.rows)) // 2
         return self._m
 
     @property
@@ -52,12 +52,12 @@ class Graph:
         return self.rows[v].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(r.bit_count() for r in self.rows)
+        return tuple(map(int.bit_count, self.rows))
 
     def min_degree(self) -> int:
         if self.n == 0:
             raise ValueError("min degree of the empty graph is undefined")
-        return min(r.bit_count() for r in self.rows)
+        return min(map(int.bit_count, self.rows))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)

@@ -63,6 +63,21 @@ def peel_with_order(g: Graph, k: int, order: list[int]) -> frozenset[int]:
     return frozenset(live)
 
 
+def ref_is_cut(g: Graph, s: int) -> bool:
+    """G - S, S given as a bitmask, has two or more components."""
+    rest = [v for v in range(g.n) if not s >> v & 1]
+    if not rest:
+        return False
+    seen = {rest[0]}
+    stack = [rest[0]]
+    while stack:
+        for w in g.neighbors(stack.pop()):
+            if w not in seen and not s >> w & 1:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) < len(rest)
+
+
 def brute_has_degenerate_cut(g: Graph, k: int) -> bool:
     for size in range(g.n - 1):
         for combo in combinations(range(g.n), size):

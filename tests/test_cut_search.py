@@ -7,10 +7,12 @@ from itertools import combinations, product
 import pytest
 
 from degencut import (
+    EnumerationSpec,
     SearchBudgetExceeded,
     complete,
     complete_bipartite,
     cycle,
+    enumerate_labeled,
     exists_min_degenerate_cut,
     find_degenerate_cut,
     find_min_degenerate_cut,
@@ -25,13 +27,14 @@ from degencut import (
     ring_of_cliques,
     RingSpec,
 )
-from degencut.cut_search import minimal_separators
+from degencut.cut_search import _small_degenerate_cut, minimal_separators
 from degencut.graph import bits
 from oracles import (
     brute_first_degenerate_cut,
     brute_has_degenerate_cut,
     brute_minimal_separators,
     brute_minimum_cuts,
+    ref_is_cut,
     ref_is_k_degenerate,
 )
 
@@ -173,3 +176,24 @@ def test_find_agrees_with_brute_force_existence():
             exists = brute_has_degenerate_cut(g, k)
             assert (cert is not None) == exists == has_degenerate_cut(g, k)
             assert (cert.cut if cert else None) == brute_first_degenerate_cut(g, k)
+
+
+def test_neighbourhood_shortcut_returns_degenerate_cuts():
+    # whatever mask the shortcut returns must be a cut inducing a k-degenerate
+    # graph, as judged by the oracles: every labeled graph on 6 vertices and
+    # a seeded sample on 8
+    rng = random.Random(47)
+    graphs = list(enumerate_labeled(EnumerationSpec(6)))
+    graphs += [random_graph(8, rng, rng.choice((0.3, 0.5, 0.7, 0.85))) for _ in range(2000)]
+    sizes = set()
+    for g in graphs:
+        for k in range(4):
+            cut = _small_degenerate_cut(g, k)
+            if cut is None:
+                continue
+            assert ref_is_cut(g, cut), (g.rows, k)
+            assert ref_is_k_degenerate(induced_subgraph(g, cut), k), (g.rows, k)
+            sizes.add((k, cut.bit_count()))
+    # both shortcuts fire: a neighbourhood of <= k+1 vertices, and of k+2
+    assert {(k, k + 2) for k in range(4)} <= sizes
+    assert {(k, k + 1) for k in range(4)} <= sizes

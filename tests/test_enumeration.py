@@ -101,6 +101,27 @@ def test_stream_is_deterministic():
     assert all_of(spec) == all_of(spec)
 
 
+def slot_bits(g):
+    return tuple(g.rows[u] >> v & 1 for u in range(g.n) for v in range(u + 1, g.n))
+
+
+def test_stream_is_in_slot_order():
+    # absent branch first: every stream, prefix streams included, lists its
+    # slot-bit vectors in strictly increasing lexicographic order
+    for spec in (
+        EnumerationSpec(5),
+        EnumerationSpec(6, min_degree=4),
+        EnumerationSpec(6, edge_range=(4, 10), min_degree=2),
+        EnumerationSpec(6, edge_range=(0, 9), min_degree=3),
+        EnumerationSpec(7, min_degree=4),
+        EnumerationSpec(5, edge_range=(2, 7), connected_only=True),
+    ):
+        for prefix in [()] + partition_prefixes(spec, 8):
+            vectors = [slot_bits(g) for g in all_of(spec, prefix)]
+            assert all(a < b for a, b in zip(vectors, vectors[1:]))
+            assert all(v[: len(prefix)] == prefix for v in vectors)
+
+
 def test_prefix_streams_tile_the_sequential_stream():
     for spec in (
         EnumerationSpec(5),
@@ -148,9 +169,10 @@ def test_spec_validation():
         list(enumerate_labeled(EnumerationSpec(4, edge_range=(5, 3))))
     with pytest.raises(ValueError):
         list(enumerate_labeled(EnumerationSpec(4, edge_range=(0, 7))))
-    # 1,225 slots would need more stack frames than the default recursion limit
-    with pytest.raises(ValueError):
-        list(enumerate_labeled(EnumerationSpec(50, edge_range=(0, 1))))
+    # 1,225 slots: the walk keeps its state in arrays, so the order is not capped
+    got = all_of(EnumerationSpec(50, edge_range=(0, 1)))
+    assert len(set(got)) == len(got) == 1 + 50 * 49 // 2
+    assert got[0].rows == (0,) * 50
 
 
 def relabel(g, rng):
