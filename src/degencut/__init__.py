@@ -24,7 +24,6 @@ from .constructions import (
     ring_of_cliques,
 )
 from .cut_search import (
-    SearchBudgetExceeded,
     exists_min_degenerate_cut,
     find_degenerate_cut,
     find_min_degenerate_cut,
@@ -90,7 +89,6 @@ __all__ = [
     "Graph6Error",
     "QuadSurd",
     "RingSpec",
-    "SearchBudgetExceeded",
     "SendRule",
     "VerificationReport",
     "Violation",

@@ -211,6 +211,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("choose exactly one of --exhaustive, --input, --sample")
     if (args.exhaustive or args.sample is not None) and args.n is None:
         raise ValueError("--n is required with --exhaustive / --sample")
+    if args.sample is not None and args.sample < 0:
+        raise ValueError(f"--sample must be nonnegative, got {args.sample}")
     failed: list[int] = []
     if args.exhaustive:
         spec = EnumerationSpec(

@@ -90,11 +90,6 @@ class CutCertificate:
         }
 
 
-def _is_forest(h: Graph) -> bool:
-    # acyclic iff every component has |edges| = |vertices| - 1
-    return h.m == h.n - len(components(h))
-
-
 def _is_bipartite(h: Graph) -> bool:
     color = [-1] * h.n
     for start in range(h.n):
@@ -129,8 +124,8 @@ def certify_cut(g: Graph, s: Iterable[int] | int) -> CutCertificate:
         cut=cut_tuple,
         components=tuple(parts),
         cut_degeneracy=degen,
-        independent=induced.m == 0,
-        forest=_is_forest(induced),
+        independent=degen == 0,
+        forest=degen <= 1,
         bipartite=_is_bipartite(induced),
     )
 

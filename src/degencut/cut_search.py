@@ -2,9 +2,7 @@
 
 `has_degenerate_cut` decides whether some cut induces a k-degenerate
 subgraph, `find_degenerate_cut` certifies one, and `find_min_degenerate_cut`
-restricts to cuts of minimum size. A budget (minimal separators or minimum
-cuts examined) raises SearchBudgetExceeded when exceeded, deliberately
-distinct from None, which only ever follows full exhaustion.
+restricts to cuts of minimum size. None only ever follows a full search.
 
 Completeness: a minimal separator, a set S such that G - S has two or more
 components C with N(C) = S, is a cut, and every cut S contains one (an
@@ -29,12 +27,6 @@ from .connectivity import (
 )
 from .degeneracy import is_k_degenerate
 from .graph import Graph, bits, induced_subgraph
-
-
-class SearchBudgetExceeded(RuntimeError):
-    def __init__(self, examined: int) -> None:
-        super().__init__(f"search budget exceeded after {examined} candidates")
-        self.examined = examined
 
 
 def minimal_separators(g: Graph) -> Iterator[int]:
@@ -108,23 +100,18 @@ def has_degenerate_cut(g: Graph, k: int) -> bool:
     )
 
 
-def find_degenerate_cut(
-    g: Graph, k: int, budget: int | None = None
-) -> CutCertificate | None:
+def find_degenerate_cut(g: Graph, k: int) -> CutCertificate | None:
     """A k-degenerate cut, or None after trying every minimal separator.
 
     If some minimum-degree vertex u has degree <= k+1 and N[u] != V, its open
     neighborhood is returned immediately. Otherwise the first k-degenerate cut
     by size, then lexicographically, is a minimal separator: the separators
-    are tried in that order, and the budget counts them."""
+    are tried in that order."""
     _check_order(g, k)
     cut = _small_degenerate_cut(g, k)
     if cut is not None and cut.bit_count() <= k + 1:
         return certify_cut(g, cut)
-    ordered = sorted(minimal_separators(g), key=lambda s: (s.bit_count(), tuple(bits(s))))
-    for examined, s in enumerate(ordered, 1):
-        if budget is not None and examined > budget:
-            raise SearchBudgetExceeded(examined - 1)
+    for s in sorted(minimal_separators(g), key=lambda s: (s.bit_count(), tuple(bits(s)))):
         if is_k_degenerate(induced_subgraph(g, s), k):
             return certify_cut(g, s)
     return None
@@ -139,21 +126,15 @@ def _check_min_cut_input(g: Graph, k: int) -> None:
         raise ValueError("graph must be connected")
 
 
-def find_min_degenerate_cut(
-    g: Graph, k: int, budget: int | None = None
-) -> CutCertificate | None:
+def find_min_degenerate_cut(g: Graph, k: int) -> CutCertificate | None:
     """First minimum cut (lexicographic) whose induced subgraph is k-degenerate.
 
     None means the graph has minimum cuts but none of them is k-degenerate:
     the walk covers every minimum cut, because `minimum_cut_sets` lists them
-    all. The optional budget counts minimum cuts examined, after they are
-    listed. Requires k >= 2 and a connected, non-complete graph.
+    all. Requires k >= 2 and a connected, non-complete graph.
     """
     _check_min_cut_input(g, k)
-    cuts = minimum_cut_sets(g)
-    for examined, cut in enumerate(cuts, 1):
-        if budget is not None and examined > budget:
-            raise SearchBudgetExceeded(examined - 1)
+    for cut in minimum_cut_sets(g):
         if is_k_degenerate(induced_subgraph(g, cut), k):
             cert = certify_cut(g, cut)
             check_minimum_cut(g, cert)

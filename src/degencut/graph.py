@@ -146,6 +146,8 @@ def complement(g: Graph) -> Graph:
 
 
 def empty_graph(n: int) -> Graph:
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
     return Graph(n, (0,) * n)
 
 
@@ -179,6 +181,8 @@ def petersen() -> Graph:
 
 def random_graph(n: int, rng, p: float = 0.5) -> Graph:
     """Erdos-Renyi G(n, p) using the supplied random.Random instance."""
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
     rows = [0] * n
     for u in range(n):
         for v in range(u + 1, n):

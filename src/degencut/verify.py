@@ -20,7 +20,7 @@ comparisons are exact.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import partial
 
@@ -132,17 +132,7 @@ class VerificationReport:
         return not self.violations
 
     def to_json_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "k": self.k,
-            "scanned": self.scanned,
-            "hypothesis_hits": self.hypothesis_hits,
-            "violations": [
-                {"graph6": v.graph6, "reason": v.reason} for v in self.violations
-            ],
-            "exhaustive": self.exhaustive,
-            "seconds": self.seconds,
-        }
+        return asdict(self)
 
 
 def _no_degenerate_cut(g: Graph, k: int) -> bool:
@@ -188,13 +178,11 @@ def _validate_which_k(which: str, k: int) -> None:
         raise ValueError("mindeg needs k >= 0")
 
 
-def verify_theorem(
-    which: str, k: int, graphs, exhaustive: bool = False
-) -> VerificationReport:
+def verify_theorem(which: str, k: int, graphs) -> VerificationReport:
     """Scan a graph stream and report hypothesis hits and conclusion failures."""
     _validate_which_k(which, k)
     t0 = time.perf_counter()
-    report = VerificationReport(theorem=which, k=k, exhaustive=exhaustive)
+    report = VerificationReport(theorem=which, k=k)
     seen: set[str] = set()
     for g in graphs:
         report.scanned += 1
@@ -216,33 +204,27 @@ def verify_theorem(
 
 def _verify_task(
     which: str, k: int, spec: EnumerationSpec, prefix: tuple[int, ...]
-) -> dict:
-    report = verify_theorem(which, k, enumerate_labeled(spec, prefix))
-    return {
-        "scanned": report.scanned,
-        "hits": report.hypothesis_hits,
-        "violations": [(v.graph6, v.reason) for v in report.violations],
-    }
+) -> VerificationReport:
+    return verify_theorem(which, k, enumerate_labeled(spec, prefix))
 
 
 def verify_theorem_exhaustive(
     which: str, k: int, spec: EnumerationSpec, jobs: int = 1
 ) -> VerificationReport:
-    """Verify over the full enumeration stream, optionally split across
-    processes. The merged report does not depend on the worker count."""
+    """Verify over the full enumeration stream, in this process when jobs <= 1
+    (the empty prefix: the whole stream, iso_reject specs included), else split
+    across processes. The merged report does not depend on the worker count."""
     _validate_which_k(which, k)
     t0 = time.perf_counter()
-    if jobs <= 1:
-        report = verify_theorem(which, k, enumerate_labeled(spec), exhaustive=True)
-        report.seconds = time.perf_counter() - t0
-        return report
+    task = partial(_verify_task, which, k)
+    parts = [task(spec, ())] if jobs <= 1 else map_prefixes(task, spec, jobs)
     report = VerificationReport(theorem=which, k=k, exhaustive=True)
     merged: dict[str, str] = {}
-    for part in map_prefixes(partial(_verify_task, which, k), spec, jobs):
-        report.scanned += part["scanned"]
-        report.hypothesis_hits += part["hits"]
-        for graph6_str, reason in part["violations"]:
-            merged.setdefault(graph6_str, reason)
+    for part in parts:
+        report.scanned += part.scanned
+        report.hypothesis_hits += part.hypothesis_hits
+        for v in part.violations:
+            merged.setdefault(v.graph6, v.reason)
     report.violations = [Violation(s, r) for s, r in sorted(merged.items())]
     report.seconds = time.perf_counter() - t0
     return report

@@ -199,6 +199,17 @@ def test_verify_thm2_rejects_other_k(capsys):
     assert "thm2 is specific to k=2" in capsys.readouterr().err
 
 
+def test_verify_refuses_negative_order_and_sample(capsys):
+    for flags, message in (
+        (["--n", "-1", "--sample", "3"], "vertex count must be nonnegative"),
+        (["--n", "5", "--sample", "-3"], "--sample must be nonnegative"),
+    ):
+        assert main(["verify", "thm2", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"degencut: error: {message}")
+
+
 def test_verify_unknown_target_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "thm9", "--n", "5", "--exhaustive"])

@@ -1,5 +1,5 @@
-"""Search behavior: lexicographically earliest hits, honest budgets, and the
-fast existence route agreeing with the exhaustive one."""
+"""Search behavior: lexicographically earliest hits, and the fast existence
+route agreeing with the exhaustive one."""
 
 import random
 from itertools import combinations, product
@@ -8,7 +8,6 @@ import pytest
 
 from degencut import (
     EnumerationSpec,
-    SearchBudgetExceeded,
     complete,
     complete_bipartite,
     cycle,
@@ -87,17 +86,6 @@ def test_minimal_separators_match_brute_force():
     assert list(minimal_separators(complete(6))) == []
 
 
-def test_budget_exhaustion_is_distinct_from_none():
-    # budget counts minimal separators; none of the 43 of this ring is a forest
-    ring = ring_of_cliques(RingSpec(2, 3))
-    with pytest.raises(SearchBudgetExceeded) as exc:
-        find_degenerate_cut(ring, 1, budget=10)
-    assert exc.value.examined == 10
-    assert find_degenerate_cut(ring, 1, budget=43) is None
-    # a completed search may return None; a budgeted abort never does silently
-    assert find_degenerate_cut(complete(4), 2, budget=10_000) is None
-
-
 def test_find_min_degenerate_cut_on_c6():
     cert = find_min_degenerate_cut(cycle(6), 2)
     assert cert.cut == (0, 2)
@@ -128,7 +116,7 @@ def test_find_min_degenerate_cut_is_first_degenerate_minimum_cut():
             assert (cert.cut if cert else None) == (tame[0] if tame else None)
 
 
-def test_find_min_degenerate_cut_budget_counts_minimum_cuts():
+def test_find_min_degenerate_cut_on_a_clique_chain():
     # the chain 0 - K4 - K4 - K4 - 13, consecutive cliques fully
     # joined: its minimum cuts are the three K4s, none of them 2-degenerate
     cliques = [range(1, 5), range(5, 9), range(9, 13)]
@@ -136,15 +124,13 @@ def test_find_min_degenerate_cut_budget_counts_minimum_cuts():
     edges += list(product(cliques[0], cliques[1])) + list(product(cliques[1], cliques[2]))
     edges += [(0, v) for v in cliques[0]] + [(v, 13) for v in cliques[2]]
     g = from_edges(14, edges)
-    with pytest.raises(SearchBudgetExceeded) as exc:
-        find_min_degenerate_cut(g, 2, budget=2)
-    assert exc.value.examined == 2
-    assert find_min_degenerate_cut(g, 2, budget=3) is None
-    assert find_min_degenerate_cut(g, 3, budget=1).cut == (1, 2, 3, 4)
+    assert find_min_degenerate_cut(g, 2) is None
+    assert find_min_degenerate_cut(g, 3).cut == (1, 2, 3, 4)
 
 
 def test_ring_minimum_cuts_are_never_low_degeneracy():
     ring = ring_of_cliques(RingSpec(2, 3))
+    assert find_degenerate_cut(ring, 1) is None  # no minimal separator is a forest
     assert find_min_degenerate_cut(ring, 2) is None
     assert not exists_min_degenerate_cut(ring, 2)
 

@@ -1,10 +1,13 @@
 """Source-level rules for the package: `python -O` strips `assert`
-statements, so no correctness check in src/degencut may be one; and no
-private module-level helper may outlive its last caller."""
+statements, so no correctness check in src/degencut may be one; no
+private module-level helper may outlive its last caller; and the package's
+`__all__` names exactly what its `__init__` imports."""
 
 import ast
 import re
 from pathlib import Path
+
+import degencut
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "degencut"
 
@@ -33,3 +36,16 @@ def test_every_private_module_function_is_referenced():
         and len(re.findall(rf"\b{node.name}\b", everything)) < 2
     ]
     assert unused == []
+
+
+def test_all_lists_exactly_the_imported_names():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert len(imported) == len(set(imported))
+    assert len(degencut.__all__) == len(set(degencut.__all__))
+    assert set(degencut.__all__) == set(imported)

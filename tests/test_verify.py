@@ -286,6 +286,26 @@ def test_verify_dedups_violations_past_eight_vertices(monkeypatch):
     assert [v.graph6 for v in report.violations] == [to_graph6(canonical_graph(g))]
 
 
+def test_exhaustive_merge_keeps_one_violation_per_class(monkeypatch):
+    # every graph reported as a violation: the 64 labeled graphs on 4
+    # vertices fall into 11 isomorphism classes, each recorded once
+    import degencut.verify as verify
+
+    monkeypatch.setattr(verify, "evaluate", lambda which, k, g: (True, "forced"))
+    graphs = enumerate_labeled(EnumerationSpec(4))
+    classes = sorted({to_graph6(canonical_graph(g)) for g in graphs})
+    assert len(classes) == 11
+    for spec, scanned in (
+        (EnumerationSpec(4), 64),
+        (EnumerationSpec(4, iso_reject=True), 11),
+    ):
+        report = verify_theorem_exhaustive("thm2", 2, spec, jobs=1)
+        assert report.exhaustive
+        assert (report.scanned, report.hypothesis_hits) == (scanned, scanned)
+        assert [v.graph6 for v in report.violations] == classes
+        assert {v.reason for v in report.violations} == {"forced"}
+
+
 def test_exhaustive_scan_matches_across_jobs():
     spec = EnumerationSpec(5)
     seq = verify_theorem_exhaustive("thm2", 2, spec, jobs=1)
