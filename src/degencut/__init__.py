@@ -4,8 +4,8 @@ The package is organized around one question: which vertex cuts of a graph
 induce a k-degenerate subgraph, and what does their absence force about the
 edge count? It provides k-core peeling and degeneracy, flow-based vertex
 connectivity with minimum-cut enumeration, searches for k-degenerate cuts,
-two extremal constructions, an exact discharging engine over Q[sqrt(k)], and
-an exhaustive desk-scale verification harness with a CLI.
+two extremal constructions, exact edge-bound tests over Q[sqrt(k)], and an
+exhaustive desk-scale verification harness with a CLI.
 """
 
 from .connectivity import (
@@ -30,13 +30,6 @@ from .cut_search import (
     has_degenerate_cut,
 )
 from .degeneracy import CoreCertificate, degeneracy, is_k_degenerate, max_k_core
-from .discharging import (
-    DischargingScheme,
-    SendRule,
-    degree_excess_tenths_scheme,
-    high_degree_transfer_scheme,
-    run_discharging,
-)
 from .enumeration import (
     EnumerationSpec,
     canonical_form,
@@ -63,13 +56,10 @@ from .graph6 import Graph6Error, iter_graph6, parse_graph6, to_graph6
 from .surd import QuadSurd
 from .verify import (
     THEOREMS,
-    ClaimReport,
     VerificationReport,
     Violation,
     bound_thm1,
     bound_thm2,
-    check_claim1,
-    check_claim2,
     check_min_degree,
     hyp_thm3,
     verify_theorem,
@@ -82,14 +72,11 @@ __all__ = [
     "THEOREMS",
     "CoreCertificate",
     "CutCertificate",
-    "ClaimReport",
-    "DischargingScheme",
     "EnumerationSpec",
     "Graph",
     "Graph6Error",
     "QuadSurd",
     "RingSpec",
-    "SendRule",
     "VerificationReport",
     "Violation",
     "bound_thm1",
@@ -97,8 +84,6 @@ __all__ = [
     "canonical_form",
     "canonical_graph",
     "certify_cut",
-    "check_claim1",
-    "check_claim2",
     "check_min_degree",
     "complement",
     "complete",
@@ -106,7 +91,6 @@ __all__ = [
     "components",
     "cycle",
     "degeneracy",
-    "degree_excess_tenths_scheme",
     "empty_graph",
     "enumerate_labeled",
     "exists_min_degenerate_cut",
@@ -114,7 +98,6 @@ __all__ = [
     "find_min_degenerate_cut",
     "from_edges",
     "has_degenerate_cut",
-    "high_degree_transfer_scheme",
     "hyp_thm3",
     "induced_subgraph",
     "is_connected",
@@ -133,7 +116,6 @@ __all__ = [
     "random_ring_spec",
     "remove_vertices",
     "ring_of_cliques",
-    "run_discharging",
     "to_graph6",
     "verify_theorem",
     "verify_theorem_exhaustive",

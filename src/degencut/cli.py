@@ -86,7 +86,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--input", metavar="FILE", help="verify graphs from a graph6 file")
     p.add_argument("--sample", type=int, metavar="COUNT", help="verify random graphs")
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes, at most the CPU count; output does not depend on it",
+    )
     p.add_argument("--quiet", action="store_true", help="print PASS/FAIL only")
 
     p = sub.add_parser("enumerate", help="stream labeled graphs as graph6")
@@ -94,7 +97,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--min-deg", type=int, help="minimum degree")
     p.add_argument("--max-edges", type=int, help="edge cap")
     p.add_argument("--connected", action="store_true")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes, at most the CPU count; output does not depend on it",
+    )
 
     return parser
 
@@ -213,6 +219,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("--n is required with --exhaustive / --sample")
     if args.sample is not None and args.sample < 0:
         raise ValueError(f"--sample must be nonnegative, got {args.sample}")
+    filters = [args.min_deg is not None, args.max_edges is not None, args.connected]
+    if any(filters) and not args.exhaustive:
+        raise ValueError("--min-deg, --max-edges and --connected need --exhaustive")
     failed: list[int] = []
     if args.exhaustive:
         spec = EnumerationSpec(

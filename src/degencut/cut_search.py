@@ -143,8 +143,9 @@ def find_min_degenerate_cut(g: Graph, k: int) -> CutCertificate | None:
 
 
 def _has_min_degenerate_cut(g: Graph, k: int) -> bool:
-    """`exists_min_degenerate_cut` for a connected g and k >= 2, unchecked:
-    the neighbourhood shortcuts, else `find_min_degenerate_cut`."""
+    """`exists_min_degenerate_cut` without its input check up front: the
+    neighbourhood shortcuts run unchecked, and a graph they do not settle
+    goes to `find_min_degenerate_cut`, which checks its input again."""
     return (
         _small_degenerate_cut(g, k) is not None
         or find_min_degenerate_cut(g, k) is not None

@@ -21,6 +21,7 @@ stream; `map_prefixes` runs them on worker processes.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, TypeVar
@@ -158,7 +159,11 @@ def map_prefixes(
 ) -> Iterator[T]:
     """`task(spec, prefix)` for each prefix of `partition_prefixes(spec, 4 * jobs)`
     on `jobs` worker processes, yielded in prefix order, so merged results do not
-    depend on `jobs`. `task` is pickled: a module-level function or a partial."""
+    depend on `jobs`. `task` is pickled: a module-level function or a partial.
+
+    `jobs` is clamped to the CPU count first: the pool forks all its workers at
+    the first submit, and more workers than CPUs only add processes."""
+    jobs = min(jobs, os.cpu_count() or 1)
     prefixes = partition_prefixes(spec, 4 * jobs)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         yield from pool.map(task, [spec] * len(prefixes), prefixes)

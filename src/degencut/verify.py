@@ -32,7 +32,7 @@ from .enumeration import (
     enumerate_labeled,
     map_prefixes,
 )
-from .graph import Graph, bits
+from .graph import Graph
 from .graph6 import to_graph6
 from .surd import QuadSurd
 
@@ -63,52 +63,6 @@ def hyp_thm3(k: int, n: int, m: int) -> bool:
 
 def check_min_degree(g: Graph, k: int) -> bool:
     return g.min_degree() >= k + 2
-
-
-@dataclass(frozen=True)
-class ClaimReport:
-    status: str  # "holds" | "vacuous" | "violated"
-    witness: int | None = None
-    detail: str | None = None
-
-
-def check_claim1(g: Graph, k: int) -> ClaimReport:
-    """Every vertex of degree <= k + sqrt(k)/5 must have at least
-    k - 2k/25 - 2 sqrt(k)/5 neighbors of degree >= k + sqrt(k)/5."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    threshold = QuadSurd(k, Fraction(1, 5), k)
-    required = QuadSurd(Fraction(23 * k, 25), -Fraction(2, 5), k)
-    degs = g.degrees()
-    heavy = 0
-    for v in range(g.n):
-        if (QuadSurd(degs[v], 0, k) - threshold).sign() >= 0:
-            heavy |= 1 << v
-    qualifying = False
-    for u in range(g.n):
-        if (threshold - degs[u]).sign() < 0:
-            continue
-        qualifying = True
-        count = (g.rows[u] & heavy).bit_count()
-        if (QuadSurd(count, 0, k) - required).sign() < 0:
-            return ClaimReport(
-                "violated", u, f"{count} heavy neighbors at degree {degs[u]}"
-            )
-    return ClaimReport("holds" if qualifying else "vacuous")
-
-
-def check_claim2(g: Graph) -> ClaimReport:
-    """Every degree-5 vertex must have neighbor degrees summing to >= 29."""
-    degs = g.degrees()
-    qualifying = False
-    for u in range(g.n):
-        if degs[u] != 5:
-            continue
-        qualifying = True
-        total = sum(degs[v] for v in bits(g.rows[u]))
-        if total < 29:
-            return ClaimReport("violated", u, f"neighbor degree sum {total}")
-    return ClaimReport("holds" if qualifying else "vacuous")
 
 
 @dataclass(frozen=True)

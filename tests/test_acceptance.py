@@ -21,11 +21,9 @@ from degencut import (
     complete,
     complete_bipartite,
     cycle,
-    degree_excess_tenths_scheme,
     enumerate_labeled,
     find_degenerate_cut,
     find_min_degenerate_cut,
-    high_degree_transfer_scheme,
     join_extremal,
     minimum_cuts,
     parse_graph6,
@@ -33,7 +31,6 @@ from degencut import (
     random_graph,
     random_ring_spec,
     ring_of_cliques,
-    run_discharging,
     to_graph6,
     verify_theorem,
     verify_theorem_exhaustive,
@@ -189,19 +186,6 @@ def test_criterion_6_min_degree_zero_exceptions(thm2_n5_scan, thm2_pruned_scans)
     for k, _, g in ring_family():
         # rings have larger k-degenerate cuts, but the property is degree-only
         assert g.min_degree() == k + 2
-
-
-def test_criterion_7a_conservation_exact():
-    rng = random.Random(0x7A)
-    tenths = degree_excess_tenths_scheme()
-    for i in range(1000):
-        n = rng.randint(1, 9)
-        g = random_graph(n, rng, rng.choice((0.2, 0.5, 0.8)))
-        k = (2, 3, 5, 9, 16)[i % 5]
-        for scheme in (tenths, high_degree_transfer_scheme(k)):
-            finals = run_discharging(g, scheme)
-            total = sum(finals, QuadSurd(0, 0, scheme.radicand))
-            assert total == QuadSurd(2 * g.m, 0, scheme.radicand)
 
 
 def test_criterion_7b_bound_on_cutless_graphs(thm2_n5_scan, thm2_pruned_scans):

@@ -210,6 +210,18 @@ def test_verify_refuses_negative_order_and_sample(capsys):
         assert captured.err.startswith(f"degencut: error: {message}")
 
 
+def test_verify_refuses_enumeration_filters_without_exhaustive(tmp_path, capsys):
+    path = write_graphs(tmp_path, complete(5))
+    for source in (["--n", "6", "--sample", "5"], ["--input", path]):
+        for flags in (["--min-deg", "4"], ["--max-edges", "3"], ["--connected"]):
+            assert main(["verify", "thm2", *source, *flags]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(
+                "degencut: error: --min-deg, --max-edges and --connected need --exhaustive"
+            )
+
+
 def test_verify_unknown_target_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "thm9", "--n", "5", "--exhaustive"])

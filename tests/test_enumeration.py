@@ -23,6 +23,7 @@ from degencut import (
     random_graph,
     ring_of_cliques,
 )
+from degencut import enumeration
 
 from oracles import brute_automorphism_count, brute_canonical_form
 
@@ -134,6 +135,31 @@ def test_prefix_streams_tile_the_sequential_stream():
             prefixes = partition_prefixes(spec, tasks)
             tiled = [g for p in prefixes for g in all_of(spec, p)]
             assert tiled == whole
+
+
+def test_map_prefixes_clamps_jobs_to_the_cpu_count(monkeypatch):
+    # an in-process pool: the test starts no process
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", FakePool)
+    spec = EnumerationSpec(5)
+    streams = enumeration.map_prefixes(all_of, spec, jobs=10_000)
+    assert [g for stream in streams for g in stream] == all_of(spec)
+    assert started == [2]
 
 
 def test_partition_rejects_iso_reject():

@@ -1,7 +1,8 @@
 """Source-level rules for the package: `python -O` strips `assert`
 statements, so no correctness check in src/degencut may be one; no
-private module-level helper may outlive its last caller; and the package's
-`__all__` names exactly what its `__init__` imports."""
+private module-level helper may outlive its last caller; the package's
+`__all__` names exactly what its `__init__` imports; and every module is
+reached from the CLI."""
 
 import ast
 import re
@@ -49,3 +50,23 @@ def test_all_lists_exactly_the_imported_names():
     assert len(imported) == len(set(imported))
     assert len(degencut.__all__) == len(set(degencut.__all__))
     assert set(degencut.__all__) == set(imported)
+
+
+def test_every_module_is_reachable_from_the_cli():
+    imports = {}
+    for path in SRC.glob("*.py"):
+        targets = set()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module:
+                    targets.add(node.module.split(".")[0])
+                else:
+                    targets.update(alias.name for alias in node.names)
+        imports[path.stem] = targets
+    reached, todo = set(), ["cli"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(imports.get(name, ()))
+    assert sorted(set(imports) - reached - {"__init__", "__main__"}) == []

@@ -1,5 +1,5 @@
-"""Verification layer: exact bound predicates, per-vertex claims, report
-aggregation, dedup, and the parallel scan agreeing with the sequential one."""
+"""Verification layer: exact bound predicates, report aggregation, dedup,
+and the parallel scan agreeing with the sequential one."""
 
 import random
 import subprocess
@@ -14,8 +14,6 @@ from degencut import (
     bound_thm1,
     bound_thm2,
     canonical_graph,
-    check_claim1,
-    check_claim2,
     check_min_degree,
     complete,
     cycle,
@@ -102,61 +100,6 @@ def test_check_min_degree():
     assert not check_min_degree(cycle(4), 1)
     assert check_min_degree(ring_of_cliques(random_ring_spec(2, 3, 0)), 2)
     assert check_min_degree(join_extremal(1, 6), 1)
-
-
-# ---------------------------------------------------------------- claims
-
-
-def test_claim1_violated_on_square():
-    # C_4 at k=2: threshold 2 + sqrt(2)/5 > 2, so every vertex is light and
-    # the requirement 23*2/25 - (2/5)sqrt(2) ~ 1.27 needs two heavy neighbors
-    rep = check_claim1(cycle(4), 2)
-    assert rep.status == "violated"
-    assert rep.witness == 0
-    assert "0 heavy neighbors" in rep.detail
-
-
-def test_claim1_vacuous_cases():
-    # K_5 at k=2: every degree is 4 >= threshold, no light vertex exists
-    assert check_claim1(complete(5), 2).status == "vacuous"
-    # join extremal at k=2: light vertices exist but all have degree >=
-    # threshold? no: independent side has degree 4 = k+2 > k + sqrt(k)/5
-    assert check_claim1(join_extremal(2, 8), 2).status == "vacuous"
-
-
-def test_claim1_holds_nonvacuously_at_k100():
-    # at k = 100 the light threshold is exactly k + 2 = 102, so the
-    # degree-102 vertices of K_103 are light with 102 heavy neighbors each,
-    # and 102 >= 23*100/25 - (2/5)*10 = 88
-    rep = check_claim1(complete(103), 100)
-    assert rep.status == "holds"
-
-
-def test_claim2_fixtures():
-    # vertex 0 has degree 5 with neighbor degrees (5,5,5,5,8): sum 28 < 29
-    edges = [(0, i) for i in (1, 2, 3, 4, 5)]
-    edges += [(a, b) for a in (1, 2, 3, 4) for b in (1, 2, 3, 4) if a < b]
-    edges += [(1, 6), (2, 7), (3, 8), (4, 9)]
-    edges += [(5, v) for v in (6, 7, 8, 9, 10, 11, 12)]
-    g = from_edges(13, edges)
-    assert g.degrees()[0] == 5 and g.degrees()[5] == 8
-    rep = check_claim2(g)
-    assert rep.status == "violated"
-    assert rep.witness == 0
-    assert "28" in rep.detail
-
-    # two degree-5 vertices, each with neighbor sum 5 + 4*6 = 29
-    edges = [(0, 1)]
-    edges += [(u, b) for u in (0, 1) for b in (2, 3, 4, 5)]
-    edges += [(a, b) for a in (2, 3, 4, 5) for b in (2, 3, 4, 5) if a < b]
-    edges += [(2, 6), (3, 7), (4, 8), (5, 9)]
-    g = from_edges(10, edges)
-    degs = g.degrees()
-    assert degs[0] == degs[1] == 5 and all(degs[v] == 6 for v in (2, 3, 4, 5))
-    assert check_claim2(g).status == "holds"
-
-    # no degree-5 vertex at all
-    assert check_claim2(complete(7)).status == "vacuous"
 
 
 # ---------------------------------------------------------------- evaluate
