@@ -16,7 +16,10 @@ Exit status: 0 success or PASS, 2 counterexample found or no cut exists,
 that does not parse, or a graph the command refuses, such as a complete graph
 for min-cuts) prints {"line": i, "error": ...} on stdout and the stream goes
 on; the exit status is then 1. verify --input names a line that does not
-parse on stderr only, scans on, and exits 1 after its report.
+parse on stderr only, scans on, and exits 1 after its report. verify refuses
+(exit 1) a flag its source never reads: --min-deg, --max-edges, --connected
+or --jobs other than 1 without --exhaustive, --n with --input, and --seed
+without --sample.
 """
 
 from __future__ import annotations
@@ -85,7 +88,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--connected", action="store_true", help="exhaustive: connected only")
     p.add_argument("--input", metavar="FILE", help="verify graphs from a graph6 file")
     p.add_argument("--sample", type=int, metavar="COUNT", help="verify random graphs")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
+    p.add_argument("--seed", type=int, help="sampling seed (default 0)")
     p.add_argument(
         "--jobs", type=int, default=1,
         help="worker processes, at most the CPU count; output does not depend on it",
@@ -217,11 +220,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("choose exactly one of --exhaustive, --input, --sample")
     if (args.exhaustive or args.sample is not None) and args.n is None:
         raise ValueError("--n is required with --exhaustive / --sample")
+    if args.input is not None and args.n is not None:
+        raise ValueError("--n does not apply to --input")
     if args.sample is not None and args.sample < 0:
         raise ValueError(f"--sample must be nonnegative, got {args.sample}")
     filters = [args.min_deg is not None, args.max_edges is not None, args.connected]
     if any(filters) and not args.exhaustive:
         raise ValueError("--min-deg, --max-edges and --connected need --exhaustive")
+    if args.jobs != 1 and not args.exhaustive:
+        raise ValueError("--jobs needs --exhaustive")
+    if args.seed is not None and args.sample is None:
+        raise ValueError("--seed needs --sample")
     failed: list[int] = []
     if args.exhaustive:
         spec = EnumerationSpec(
@@ -234,7 +243,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     elif args.input is not None:
         report = verify_theorem(args.which, k, _input_graphs(args.input, failed))
     else:
-        rng = random.Random(args.seed)
+        rng = random.Random(args.seed or 0)
         stream = (random_graph(args.n, rng) for _ in range(args.sample))
         report = verify_theorem(args.which, k, stream)
     if args.quiet:

@@ -25,8 +25,8 @@ from .connectivity import (
     is_cut,
     minimum_cut_sets,
 )
-from .degeneracy import is_k_degenerate
-from .graph import Graph, bits, induced_subgraph
+from .degeneracy import core_mask
+from .graph import Graph, bits, mask_of
 
 
 def minimal_separators(g: Graph) -> Iterator[int]:
@@ -93,10 +93,11 @@ def _check_order(g: Graph, k: int) -> None:
 
 def has_degenerate_cut(g: Graph, k: int) -> bool:
     """Same boolean as `find_degenerate_cut(g, k) is not None`, with no
-    certificate: the neighbourhood shortcuts, then any minimal separator."""
+    certificate: the neighbourhood shortcuts, then any minimal separator whose
+    k-core, peeled on its bitmask by `core_mask`, is empty."""
     _check_order(g, k)
     return _small_degenerate_cut(g, k) is not None or any(
-        is_k_degenerate(induced_subgraph(g, s), k) for s in minimal_separators(g)
+        not core_mask(g.rows, s, k) for s in minimal_separators(g)
     )
 
 
@@ -112,7 +113,7 @@ def find_degenerate_cut(g: Graph, k: int) -> CutCertificate | None:
     if cut is not None and cut.bit_count() <= k + 1:
         return certify_cut(g, cut)
     for s in sorted(minimal_separators(g), key=lambda s: (s.bit_count(), tuple(bits(s)))):
-        if is_k_degenerate(induced_subgraph(g, s), k):
+        if not core_mask(g.rows, s, k):
             return certify_cut(g, s)
     return None
 
@@ -135,7 +136,7 @@ def find_min_degenerate_cut(g: Graph, k: int) -> CutCertificate | None:
     """
     _check_min_cut_input(g, k)
     for cut in minimum_cut_sets(g):
-        if is_k_degenerate(induced_subgraph(g, cut), k):
+        if not core_mask(g.rows, mask_of(cut), k):
             cert = certify_cut(g, cut)
             check_minimum_cut(g, cert)
             return cert

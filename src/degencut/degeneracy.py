@@ -5,6 +5,9 @@ subgraph has minimum degree at least k+1, and a graph is k-degenerate exactly
 when it has no k-core -- equivalently, every nonempty subgraph has a vertex of
 degree at most k (0-degenerate = edgeless, 1-degenerate = forest). A nonempty
 k-core always has at least k+2 vertices.
+
+One bitmask peel, `core_mask`, gives the k-core of any vertex set, the max
+k-core and the degeneracy (smallest-last peeling, Matula & Beck 1983).
 """
 
 from __future__ import annotations
@@ -23,35 +26,38 @@ class CoreCertificate:
         return bool(self.core)
 
 
-def max_k_core(g: Graph, k: int) -> CoreCertificate:
-    """Unique maximal vertex set inducing minimum degree >= k+1 (may be empty).
-
-    Peels every vertex whose current degree is at most k; the surviving set is
-    order-independent. O(n + m).
-    """
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    n = g.n
-    deg = [r.bit_count() for r in g.rows]
-    alive = g.full_mask
+def _low_degree(rows: tuple[int, ...], cand: int, alive: int, k: int) -> int:
+    """The vertices of cand with at most k neighbours inside alive, as a bitmask."""
     low = 0
-    for v in range(n):
-        if deg[v] <= k:
-            low |= 1 << v
+    while cand:
+        bit = cand & -cand
+        cand ^= bit
+        if (rows[bit.bit_length() - 1] & alive).bit_count() <= k:
+            low |= bit
+    return low
+
+
+def core_mask(rows: tuple[int, ...], alive: int, k: int) -> int:
+    """The k-core of the subgraph induced on the bitmask alive, as a bitmask: 0
+    exactly when alive induces a k-degenerate subgraph. Peels every vertex with
+    at most k neighbours left inside alive; the survivors do not depend on order."""
+    low = _low_degree(rows, alive, alive, k)
     while low:
         bit = low & -low
-        v = bit.bit_length() - 1
         low ^= bit
         alive ^= bit
-        for w in bits(g.rows[v] & alive):
-            deg[w] -= 1
-            if deg[w] == k:
-                low |= 1 << w
-    core = tuple(bits(alive))
+        low |= _low_degree(rows, rows[bit.bit_length() - 1] & alive & ~low, alive, k)
     # k+1 neighbours inside the core also force it to hold k+2 vertices
-    if any((g.rows[v] & alive).bit_count() <= k for v in core):
-        raise RuntimeError(f"peeling left a vertex of degree <= {k} in {core}")
-    return CoreCertificate(k, core)
+    if _low_degree(rows, alive, alive, k):
+        raise RuntimeError(f"peeling left a vertex of degree <= {k} in {tuple(bits(alive))}")
+    return alive
+
+
+def max_k_core(g: Graph, k: int) -> CoreCertificate:
+    """Unique maximal vertex set inducing minimum degree >= k+1 (may be empty)."""
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
+    return CoreCertificate(k, tuple(bits(core_mask(g.rows, g.full_mask, k))))
 
 
 def is_k_degenerate(g: Graph, k: int) -> bool:
@@ -61,29 +67,11 @@ def is_k_degenerate(g: Graph, k: int) -> bool:
 def degeneracy(g: Graph) -> int:
     """Smallest k for which g is k-degenerate (0 for edgeless and empty graphs).
 
-    Bucket queue keyed by current degree; ties break to the lowest vertex
-    index. Equals the maximum over the peel of the current minimum degree.
-    """
-    n = g.n
-    if n == 0:
-        return 0
-    deg = [r.bit_count() for r in g.rows]
-    buckets: list[set[int]] = [set() for _ in range(n)]
-    for v in range(n):
-        buckets[deg[v]].add(v)
-    alive = g.full_mask
-    best = 0
-    cur = 0
-    for _ in range(n):
-        while not buckets[cur]:
-            cur += 1
-        v = min(buckets[cur])
-        buckets[cur].remove(v)
-        best = max(best, cur)
-        alive ^= 1 << v
-        for w in bits(g.rows[v] & alive):
-            buckets[deg[w]].remove(w)
-            deg[w] -= 1
-            buckets[deg[w]].add(w)
-        cur = max(cur - 1, 0)
-    return best
+    Raises k to the minimum degree of what is left and peels to the k-core,
+    until nothing is left: k is then the maximum over the peel of the current
+    minimum degree, and the k-core of g is empty."""
+    rows, alive, k = g.rows, g.full_mask, 0
+    while alive:
+        k = max(k, min((rows[v] & alive).bit_count() for v in bits(alive)))
+        alive = core_mask(rows, alive, k)
+    return k

@@ -163,13 +163,15 @@ def test_verify_sample_mode(capsys):
 
 
 def test_verify_sample_is_seed_deterministic(capsys):
-    argv = ["verify", "mindeg", "--k", "0", "--n", "5", "--sample", "25", "--seed", "11"]
-    main(argv)
-    a = json.loads(capsys.readouterr().out)
-    main(argv)
-    b = json.loads(capsys.readouterr().out)
-    a.pop("seconds"), b.pop("seconds")
-    assert a == b
+    argv = ["verify", "mindeg", "--k", "0", "--n", "5", "--sample", "25"]
+    # no --seed draws from seed 0
+    for first, second in ((["--seed", "11"], ["--seed", "11"]), ([], ["--seed", "0"])):
+        main(argv + first)
+        a = json.loads(capsys.readouterr().out)
+        main(argv + second)
+        b = json.loads(capsys.readouterr().out)
+        a.pop("seconds"), b.pop("seconds")
+        assert a == b
 
 
 # ---------------------------------------------------------------- errors
@@ -212,14 +214,25 @@ def test_verify_refuses_negative_order_and_sample(capsys):
 
 def test_verify_refuses_enumeration_filters_without_exhaustive(tmp_path, capsys):
     path = write_graphs(tmp_path, complete(5))
-    for source in (["--n", "6", "--sample", "5"], ["--input", path]):
-        for flags in (["--min-deg", "4"], ["--max-edges", "3"], ["--connected"]):
-            assert main(["verify", "thm2", *source, *flags]) == 1
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.startswith(
-                "degencut: error: --min-deg, --max-edges and --connected need --exhaustive"
-            )
+    filters = "--min-deg, --max-edges and --connected need --exhaustive"
+    cases = [
+        ([*source, *flags], filters)
+        for source in (["--n", "6", "--sample", "5"], ["--input", path])
+        for flags in (["--min-deg", "4"], ["--max-edges", "3"], ["--connected"])
+    ] + [
+        (["--n", "5", "--sample", "3", "--jobs", "4"], "--jobs needs --exhaustive"),
+        (["--input", path, "--jobs", "2"], "--jobs needs --exhaustive"),
+        (["--input", path, "--n", "7"], "--n does not apply to --input"),
+        (["--n", "5", "--exhaustive", "--seed", "9"], "--seed needs --sample"),
+        (["--input", path, "--seed", "0"], "--seed needs --sample"),
+    ]
+    for argv, message in cases:
+        assert main(["verify", "thm2", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"degencut: error: {message}")
+    assert main(["verify", "thm2", "--n", "5", "--sample", "3", "--jobs", "1", "--quiet"]) == 0
+    assert capsys.readouterr().out == "PASS\n"
 
 
 def test_verify_unknown_target_is_usage_error(capsys):

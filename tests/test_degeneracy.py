@@ -19,7 +19,17 @@ from degencut import (
     petersen,
     random_graph,
 )
+from degencut.degeneracy import core_mask
+from degencut.graph import bits, induced_subgraph, mask_of
 from oracles import peel_with_order, ref_is_k_degenerate
+
+
+def disjoint_union(*graphs):
+    edges, n = [], 0
+    for g in graphs:
+        edges += [(u + n, v + n) for u, v in g.edges()]
+        n += g.n
+    return from_edges(n, edges)
 
 
 def test_cycle_cores():
@@ -71,6 +81,8 @@ def test_degeneracy_of_named_graphs():
     assert degeneracy(petersen()) == 3
     assert degeneracy(complete_bipartite(3, 3)) == 3
     assert degeneracy(complete_bipartite(2, 7)) == 2
+    assert degeneracy(disjoint_union(complete(5), cycle(7), path(4))) == 4
+    assert degeneracy(disjoint_union(petersen(), complete(4))) == 3
 
 
 def test_is_k_degenerate_matches_the_glossary_cases():
@@ -108,3 +120,16 @@ def test_core_is_removal_order_independent():
         rng.shuffle(order)
         for k in (0, 1, 2):
             assert frozenset(max_k_core(g, k).core) == peel_with_order(g, k, order)
+
+
+def test_core_mask_of_a_vertex_set_is_the_core_of_its_induced_subgraph():
+    rng = random.Random(31)
+    for _ in range(200):
+        g = random_graph(rng.randint(0, 10), rng, rng.choice((0.3, 0.5, 0.8)))
+        for s in (0, g.full_mask, rng.getrandbits(g.n), rng.getrandbits(g.n)):
+            labels = tuple(bits(s))
+            sub = induced_subgraph(g, s)
+            for k in range(4):
+                core = core_mask(g.rows, s, k)
+                assert core == mask_of(labels[v] for v in max_k_core(sub, k).core)
+                assert (not core) == ref_is_k_degenerate(sub, k)
