@@ -46,6 +46,9 @@ def main() -> int:
     )
     ap.add_argument("--quick", action="store_true", help="skip the n=8 scan")
     args = ap.parse_args()
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return 1
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -4,7 +4,7 @@ The package is organized around one question: which vertex cuts of a graph
 induce a k-degenerate subgraph, and what does their absence force about the
 edge count? It provides k-core peeling and degeneracy, flow-based vertex
 connectivity with minimum-cut enumeration, searches for k-degenerate cuts,
-two extremal constructions, exact edge-bound tests over Q[sqrt(k)], and an
+two extremal constructions, exact integer edge-bound tests, and an
 exhaustive desk-scale verification harness with a CLI.
 """
 
@@ -52,8 +52,7 @@ from .graph import (
     random_graph,
     remove_vertices,
 )
-from .graph6 import Graph6Error, iter_graph6, parse_graph6, to_graph6
-from .surd import QuadSurd
+from .graph6 import Graph6Error, parse_graph6, to_graph6
 from .verify import (
     THEOREMS,
     VerificationReport,
@@ -75,7 +74,6 @@ __all__ = [
     "EnumerationSpec",
     "Graph",
     "Graph6Error",
-    "QuadSurd",
     "RingSpec",
     "VerificationReport",
     "Violation",
@@ -103,7 +101,6 @@ __all__ = [
     "is_connected",
     "is_cut",
     "is_k_degenerate",
-    "iter_graph6",
     "join",
     "join_extremal",
     "max_k_core",

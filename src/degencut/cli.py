@@ -19,7 +19,8 @@ on; the exit status is then 1. verify --input names a line that does not
 parse on stderr only, scans on, and exits 1 after its report. verify refuses
 (exit 1) a flag its source never reads: --min-deg, --max-edges, --connected
 or --jobs other than 1 without --exhaustive, --n with --input, and --seed
-without --sample.
+without --sample. verify refuses a negative --n, and verify and enumerate
+refuse --jobs below 1.
 """
 
 from __future__ import annotations
@@ -208,6 +209,11 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {jobs}")
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     k = args.k
     if args.which == "thm2":
@@ -215,6 +221,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             k = 2
     elif k is None:
         raise ValueError(f"--k is required for {args.which}")
+    if args.n is not None and args.n < 0:
+        raise ValueError(f"--n must be nonnegative, got {args.n}")
+    _check_jobs(args.jobs)
     sources = [args.exhaustive, args.input is not None, args.sample is not None]
     if sum(sources) != 1:
         raise ValueError("choose exactly one of --exhaustive, --input, --sample")
@@ -258,6 +267,7 @@ def _enumerate_task(spec: EnumerationSpec, prefix: tuple[int, ...]) -> list[str]
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    _check_jobs(args.jobs)
     spec = EnumerationSpec(
         n=args.n,
         edge_range=None if args.max_edges is None else (0, args.max_edges),

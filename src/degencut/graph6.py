@@ -10,8 +10,6 @@ whole byte.
 
 from __future__ import annotations
 
-from typing import IO, Iterator
-
 from .graph import Graph
 
 N_MAX = 258047  # largest vertex count this codec accepts
@@ -95,14 +93,3 @@ def parse_graph6(text: str) -> Graph:
                 rows[v] |= 1 << u
     return Graph(n, tuple(rows))
 
-
-def iter_graph6(stream: IO[str]) -> Iterator[tuple[int, Graph]]:
-    """Yield (line_number, graph) pairs; parse failures carry the line number."""
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            yield lineno, parse_graph6(line)
-        except Graph6Error as exc:
-            raise Graph6Error(f"line {lineno}: {exc}") from exc

@@ -3,7 +3,8 @@
 Four built-in targets, each of the shape hypothesis => conclusion:
 
   thm1    order >= 2k+2 and no k-degenerate cut
-            => 2m >= (k - 1/38) n + (13 n / 190) sqrt(k)
+            => 2m >= (k - 1/38) n + (13 n / 190) sqrt(k),
+               tested as 380m - 190kn + 5n >= 13 n sqrt(k) in integers
   thm2    order >= 5 and no 2-degenerate cut  =>  10m >= 27n - 35
   thm3    connected, order >= k+6, 2m <= (k+3) n + (k-1)
             => some minimum cut is k-degenerate
@@ -14,14 +15,13 @@ conclusion failure as (graph6, reason). Violations are deduplicated by
 canonical form (labeled streams hit an isomorphism class many times) and the
 stored graph6 string is the canonical representative, so any recorded
 violation can be re-verified from the string alone. All bound
-comparisons are exact.
+comparisons are exact and use integers only.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from functools import partial
 
 from .connectivity import is_connected
@@ -34,19 +34,23 @@ from .enumeration import (
 )
 from .graph import Graph
 from .graph6 import to_graph6
-from .surd import QuadSurd
 
 THEOREMS = ("thm1", "thm2", "thm3", "mindeg")
 
 
 def bound_thm1(k: int, n: int, m: int) -> bool:
-    """Exact test of 2m >= (k - 1/38) n + (13 n / 190) sqrt(k)."""
+    """Exact test of 2m >= (k - 1/38) n + (13 n / 190) sqrt(k).
+
+    Times 190 the bound reads A >= 13 n sqrt(k) with A = 380m - 190kn + 5n,
+    all integers. For n >= 0 the right side is nonnegative, so the bound
+    holds exactly when A >= 0 and A^2 >= 169 n^2 k.
+    """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    gap = QuadSurd(
-        2 * m - (k - Fraction(1, 38)) * n, -Fraction(13, 190) * n, k
-    )
-    return gap.sign() >= 0
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    a = 380 * m - 190 * k * n + 5 * n
+    return a >= 0 and a * a >= 169 * n * n * k
 
 
 def bound_thm2(n: int, m: int) -> bool:

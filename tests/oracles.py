@@ -5,7 +5,8 @@ greedy peeling with no shared code paths into the package internals beyond
 plain adjacency reads.
 """
 
-from decimal import Decimal, getcontext
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from itertools import combinations, permutations
 
 from degencut import Graph, induced_subgraph, is_cut
@@ -169,9 +170,12 @@ def brute_automorphism_count(g: Graph) -> int:
     return sum(rows == g.rows for rows in _relabelings(g))
 
 
-def surd_decimal(x) -> Decimal:
-    """50 significant digit evaluation of a + b sqrt(k)."""
-    getcontext().prec = 50
-    a = Decimal(x.a.numerator) / Decimal(x.a.denominator)
-    b = Decimal(x.b.numerator) / Decimal(x.b.denominator)
-    return a + b * Decimal(x.k).sqrt()
+def surd_decimal(a, b, k: int) -> Decimal:
+    """50 significant digit evaluation of a + b sqrt(k) for rational a, b."""
+    a, b = Fraction(a), Fraction(b)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return (
+            Decimal(a.numerator) / a.denominator
+            + Decimal(b.numerator) / b.denominator * Decimal(k).sqrt()
+        )

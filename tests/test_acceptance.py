@@ -15,7 +15,6 @@ import pytest
 
 from degencut import (
     EnumerationSpec,
-    QuadSurd,
     bound_thm1,
     check_min_degree,
     complete,
@@ -200,18 +199,31 @@ def test_criterion_7b_bound_on_cutless_graphs(thm2_n5_scan, thm2_pruned_scans):
 
 
 def test_criterion_7c_surd_vs_decimal():
+    # near-threshold triples checked against the bound as the paper writes it,
+    # 2m - (k - 1/38) n - (13 n / 190) sqrt(k) >= 0, evaluated to 50 digits.
+    # A perfect-square k = r^2 with 380 | n puts an exact tie at
+    # m = n (190k - 5 + 13r) / 380, where the bound holds with equality.
     rng = random.Random(0x7C)
-    tie = Decimal("1e-40")
+    tie = Decimal("1e-30")
+    ties = 0
     for _ in range(10_000):
-        k = rng.randint(2, 500)
-        a = Fraction(rng.randint(-999, 999), rng.randint(1, 99))
-        b = Fraction(rng.randint(-999, 999), rng.randint(1, 99))
-        x = QuadSurd(a, b, k)
-        d = surd_decimal(x)
-        if abs(d) <= tie:
-            assert x.sign() == 0
+        if rng.random() < 0.25:
+            k = rng.randint(1, 44) ** 2
+            n = 380 * rng.randint(0, 2600)
         else:
-            assert x.sign() == (1 if d > 0 else -1)
+            k = rng.randint(1, 2000)
+            n = rng.randint(0, 10**6)
+        threshold = ((k - 1 / 38) * n + 13 * n / 190 * k**0.5) / 2
+        m = max(0, round(threshold) + rng.randint(-3, 3))
+        d = surd_decimal(
+            2 * m - (k - Fraction(1, 38)) * n, -Fraction(13, 190) * n, k
+        )
+        if abs(d) <= tie:
+            ties += 1
+            assert bound_thm1(k, n, m)
+        else:
+            assert bound_thm1(k, n, m) is (d > 0)
+    assert ties > 0
 
 
 def test_criterion_8_connectivity_oracle_and_core_order():

@@ -201,9 +201,13 @@ def test_verify_thm2_rejects_other_k(capsys):
     assert "thm2 is specific to k=2" in capsys.readouterr().err
 
 
-def test_verify_refuses_negative_order_and_sample(capsys):
+def test_verify_refuses_negative_order_and_sample(tmp_path, capsys):
+    path = write_graphs(tmp_path, complete(5))
     for flags, message in (
-        (["--n", "-1", "--sample", "3"], "vertex count must be nonnegative"),
+        (["--n", "-1", "--sample", "3"], "--n must be nonnegative"),
+        (["--n", "-1", "--sample", "0"], "--n must be nonnegative"),
+        (["--n", "-1", "--exhaustive"], "--n must be nonnegative"),
+        (["--input", path, "--n", "-1"], "--n must be nonnegative"),
         (["--n", "5", "--sample", "-3"], "--sample must be nonnegative"),
     ):
         assert main(["verify", "thm2", *flags]) == 1
@@ -225,6 +229,8 @@ def test_verify_refuses_enumeration_filters_without_exhaustive(tmp_path, capsys)
         (["--input", path, "--n", "7"], "--n does not apply to --input"),
         (["--n", "5", "--exhaustive", "--seed", "9"], "--seed needs --sample"),
         (["--input", path, "--seed", "0"], "--seed needs --sample"),
+        (["--n", "5", "--exhaustive", "--jobs", "0"], "--jobs must be at least 1"),
+        (["--n", "5", "--sample", "3", "--jobs", "-3"], "--jobs must be at least 1"),
     ]
     for argv, message in cases:
         assert main(["verify", "thm2", *argv]) == 1
@@ -233,6 +239,14 @@ def test_verify_refuses_enumeration_filters_without_exhaustive(tmp_path, capsys)
         assert captured.err.startswith(f"degencut: error: {message}")
     assert main(["verify", "thm2", "--n", "5", "--sample", "3", "--jobs", "1", "--quiet"]) == 0
     assert capsys.readouterr().out == "PASS\n"
+
+
+def test_enumerate_refuses_jobs_below_one(capsys):
+    for jobs in ("0", "-3"):
+        assert main(["enumerate", "--n", "4", "--jobs", jobs]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"degencut: error: --jobs must be at least 1, got {jobs}\n"
 
 
 def test_verify_unknown_target_is_usage_error(capsys):
@@ -309,7 +323,8 @@ def test_entry_point_pipes_stdin():
 
 
 def test_stream_goes_past_a_bad_line():
-    out = run_cli("analyze", input="D~{\nbad\nD~{\n")
+    # the blank line is skipped but still counted, so the bad line is line 3
+    out = run_cli("analyze", input="D~{\n\nbad\nD~{\n")
     assert out.returncode == 1
     first, error, last = map(json.loads, out.stdout.splitlines())
     assert first == last == {
@@ -319,8 +334,8 @@ def test_stream_goes_past_a_bad_line():
         "degeneracy": 4,
         "kappa": 4,
     }
-    assert error["line"] == 2 and error["error"]
-    assert out.stderr.startswith("degencut: error: line 2:")
+    assert error["line"] == 3 and error["error"]
+    assert out.stderr.startswith("degencut: error: line 3:")
 
 
 def test_module_invocation():

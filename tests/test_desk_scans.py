@@ -1,5 +1,6 @@
-"""scripts/run_desk_scans.py end to end: the quick battery passes, and its
-reports carry the same verdict fields under one and two worker processes."""
+"""scripts/run_desk_scans.py end to end: the quick battery passes, its
+reports carry the same verdict fields under one and two worker processes,
+and a worker count below 1 is refused before any report is written."""
 
 import json
 import subprocess
@@ -27,3 +28,18 @@ def test_quick_desk_scans_pass_under_one_and_two_jobs(tmp_path):
         assert sorted(written) == sorted(fields[0] for fields in ran)
         reports.append({name: [r[f] for f in VERDICT] for name, r in written.items()})
     assert reports[0] == reports[1]
+
+
+def test_desk_scans_refuse_jobs_below_one(tmp_path):
+    for jobs in ("0", "-3"):
+        out = tmp_path / f"jobs{jobs}"
+        proc = subprocess.run(
+            [sys.executable, str(SCRIPT), "--quick", "--jobs", jobs, "--out", str(out)],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert f"--jobs must be at least 1, got {jobs}" in proc.stderr
+        assert not out.exists()

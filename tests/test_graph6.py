@@ -4,7 +4,6 @@ Fixed vectors first (these pin the bit order: upper triangle, column-major,
 6-bit chunks offset by 63), then round trips and strict error reporting.
 """
 
-import io
 import random
 
 import pytest
@@ -15,7 +14,6 @@ from degencut import (
     complete,
     empty_graph,
     from_edges,
-    iter_graph6,
     parse_graph6,
     random_graph,
     to_graph6,
@@ -109,17 +107,3 @@ def test_nonzero_padding_rejected():
     with pytest.raises(Graph6Error):
         parse_graph6("A@")
 
-
-def test_iter_graph6_yields_line_numbers():
-    stream = io.StringIO("A_\n\nBw\n")
-    out = list(iter_graph6(stream))
-    assert [lineno for lineno, _ in out] == [1, 3]
-    assert out[0][1] == complete(2)
-    assert out[1][1] == complete(3)
-
-
-def test_iter_graph6_prefixes_errors_with_line_number():
-    stream = io.StringIO("A_\nA@\n")
-    with pytest.raises(Graph6Error) as exc:
-        list(iter_graph6(stream))
-    assert str(exc.value).startswith("line 2:")

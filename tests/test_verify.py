@@ -4,13 +4,11 @@ and the parallel scan agreeing with the sequential one."""
 import random
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 
 from degencut import (
     EnumerationSpec,
-    QuadSurd,
     bound_thm1,
     bound_thm2,
     canonical_graph,
@@ -46,30 +44,33 @@ def test_bound_thm1_examples():
 
 
 def test_bound_thm1_exact_boundary():
-    # with n = 190*38 both terms clear the denominators: rhs is an integer
-    # plus an integer multiple of sqrt(k)
+    # with n = 190*38 both terms clear the denominators: (2 - 1/38) n = 14250
+    # and 13 n / 190 = 494, so at k = 2 the bound reads 2m >= 14250 + 494 sqrt(2)
     n = 190 * 38
-    rhs_rat = (Fraction(2) - Fraction(1, 38)) * n  # k = 2
-    assert rhs_rat == 14250
-    # 13*n/190 = 494, so the bound reads 2m >= 14250 + 494*sqrt(2)
-    gap = QuadSurd(-14250, -494, 2)
     lo = 7474  # 2*7474 = 14948 < 14250 + 494*sqrt(2) ~ 14948.62
     hi = 7475
-    assert (gap + 2 * lo).sign() < 0
-    assert (gap + 2 * hi).sign() > 0
     assert not bound_thm1(2, n, lo)
     assert bound_thm1(2, n, hi)
+    # a tie at a perfect square, k = 4 and n = 380: 380m - 190kn + 5n =
+    # 380m - 286900 meets 13 n sqrt(4) = 9880 exactly at m = 781, and
+    # equality counts as the bound holding
+    assert bound_thm1(4, 380, 781)
+    assert not bound_thm1(4, 380, 780)
+
+
+def test_bound_thm1_refuses_bad_arguments():
+    with pytest.raises(ValueError, match="k must be positive"):
+        bound_thm1(0, 5, 10)
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        bound_thm1(2, -5, 0)
 
 
 def test_minimum_degree_crossover_for_thm1():
     # 2m >= (k+2)n suffices for the bound exactly while
     # k + 2 >= k - 1/38 + (13/190)sqrt(k), i.e. sqrt(k) <= 385/13.
     # 877 < (385/13)^2 = 877.07... < 878
+    n = 2 * 190 * 38
     for k, expect in ((877, True), (878, False)):
-        margin = QuadSurd(2 + Fraction(1, 38), -Fraction(13, 190), k)
-        assert (margin.sign() >= 0) is expect
-        # same fact via the public predicate with 2m = (k+2)n
-        n = 2 * 190 * 38
         assert bound_thm1(k, n, (k + 2) * n // 2) is expect
 
 
