@@ -20,7 +20,8 @@ parse on stderr only, scans on, and exits 1 after its report. verify refuses
 (exit 1) a flag its source never reads: --min-deg, --max-edges, --connected
 or --jobs other than 1 without --exhaustive, --n with --input, and --seed
 without --sample. verify refuses a negative --n, and verify and enumerate
-refuse --jobs below 1.
+refuse --jobs below 1. find-cut refuses a negative --k, and --minimum with
+--k below 2, before it reads any input.
 """
 
 from __future__ import annotations
@@ -165,6 +166,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_find_cut(args: argparse.Namespace) -> int:
+    if args.k < 0:
+        raise ValueError(f"k must be nonnegative, got {args.k}")
+    if args.minimum and args.k < 2:
+        raise ValueError(f"k must be at least 2, got {args.k}")
     missing = False
     search = find_min_degenerate_cut if args.minimum else find_degenerate_cut
 

@@ -1,20 +1,44 @@
 """Exhaustive labeled-graph enumeration with sound pruning.
 
-The stream walks the edge slots (0,1), (0,2), ..., (n-2,n-1) depth-first,
-absent branch before present branch, so its order is fixed for a fixed spec.
-Every leaf the walk reaches qualifies, and no prune drops a qualifying graph:
+The stream lists every qualifying graph once, in slot order: by its bits on
+the edge slots (0,1), (0,2), ..., (n-2,n-1), absent before present, so its
+order is fixed for a fixed spec. The slots split at the last TAIL = 4
+vertices (all of them when n <= 4). A tail slot joins two tail vertices;
+every other slot is a head slot.
 
-- A slot is forced present when leaving it out would drop an endpoint's
-  degree plus its undecided slots below the minimum degree, or the edge
-  count plus all undecided slots below the edge floor: no completion could
-  reach them.
-- A slot is forced absent when taking it would put the edge count plus
-  ceil(need/2) above the edge cap, where need is the sum over all vertices
-  of max(0, min_degree - degree), n * min_degree at the root. One edge
-  lowers need by at most 2, so every completion adds at least ceil(need/2).
+- Head. A depth-first walk decides the head slots, absent branch first. No
+  prune drops a qualifying graph, since each counts the tail slots as
+  undecided:
+  - A slot is forced present when leaving it out would drop an endpoint's
+    degree plus its undecided slots below the minimum degree, or the edge
+    count plus all undecided slots below the edge floor: no completion
+    could reach them.
+  - A slot is forced absent when taking it would put the edge count plus
+    ceil(need/2) above the edge cap, where need is the sum over all
+    vertices of max(0, min_degree - degree), n * min_degree at the root.
+    One edge lowers need by at most 2, so every completion adds at least
+    ceil(need/2).
+- Tail. The graphs on the tail vertices, 64 for four, come from a table
+  built once per walk, in slot order. A prefix that reaches into the tail
+  slots drops the tails that disagree with it there.
+- Leaves. At each head leaf the table is filtered to the tails that
+  complete it: each tail vertex w gains at least max(min_degree - deg(w), 0)
+  tail neighbours, and the tail's edge count lies in the window
+  [max(m_lo - m, 0), min(m_hi - m, tail slots)]. The filtered list is kept
+  per (deficits, window) key for the rest of the walk.
 
-The walk is one loop that keeps its per-slot state in arrays, so it needs no
-stack frame per slot and puts no cap on n. The streams of
+This is the stream of one walk over all slots, because:
+
+- every tail slot comes after every head slot, so the head leaves in walk
+  order, each followed by its tails in slot order, are in slot order,
+  prefix streams included;
+- at a head leaf every slot of a head vertex is decided, and the walk let
+  it take at most n - 1 - min_degree absent slots, so its degree floor holds;
+- the filter is exact: it asks of a tail what the tail vertices' degree
+  floor and the edge range ask of the whole graph, and nothing else.
+
+The head walk is one loop that keeps its per-slot state in arrays, so it
+needs no stack frame per slot and puts no cap on n. The streams of
 `partition_prefixes(spec, t)`, in list order, concatenate to the sequential
 stream; `map_prefixes` runs them on worker processes.
 """
@@ -24,12 +48,17 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import product
+from operator import ge, or_
 from typing import Callable, Iterator, TypeVar
 
 from .connectivity import is_connected
 from .graph import Graph, bits
 
 T = TypeVar("T")
+
+TAIL = 4  # the last TAIL vertices' subgraphs come off a table built per walk
+
 
 @dataclass(frozen=True)
 class EnumerationSpec:
@@ -54,31 +83,76 @@ def _validated(spec: EnumerationSpec) -> tuple[int, int, int]:
     return m_lo, m_hi, dmin
 
 
+def _tail_table(
+    n: int, fixed: tuple[int, ...]
+) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """(rows, degrees, edge count) of every graph on the last min(TAIL, n) of
+    n vertices, in slot order, whose leading tail slots agree with `fixed`.
+    Rows have length n, zero at the head vertices; degrees are the tail
+    vertices' degrees inside the tail."""
+    base = max(n - TAIL, 0)
+    pairs = [(u, v) for u in range(base, n) for v in range(u + 1, n)]
+    table = []
+    for choice in product((0, 1), repeat=len(pairs)):
+        if choice[: len(fixed)] != fixed:
+            continue
+        rows = [0] * n
+        for (u, v), bit in zip(pairs, choice):
+            rows[u] |= bit << v
+            rows[v] |= bit << u
+        table.append(
+            (tuple(rows), tuple(r.bit_count() for r in rows[base:]), sum(choice))
+        )
+    return table
+
+
 def _iter_rows(
     n: int, m_lo: int, m_hi: int, dmin: int, prefix: tuple[int, ...]
 ) -> Iterator[tuple[int, ...]]:
     """Yield adjacency row tuples for every graph meeting the constraints.
 
-    One loop walks the slot tree: `branch[i]` is 0 while slot i is undecided,
-    1 inside its absent branch and 2 inside its present branch. Leaving a
-    present branch restores the edge count m and the deficit need exactly."""
+    One loop walks the head slots: `branch[i]` is 0 while slot i is
+    undecided, 1 inside its absent branch and 2 inside its present branch.
+    Leaving a present branch restores the edge count m and the deficit need
+    exactly. At a head leaf the tails that complete it are read off the tail
+    table, filtered once per (tail deficits, edge window) key."""
     slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
     num = len(slots)
     if dmin > max(n - 1, 0) or (n * dmin + 1) // 2 > m_hi:
         return
     if len(prefix) > num:
         raise ValueError("prefix longer than the slot list")
-    absent_ok = [b == 0 for b in prefix] + [True] * (num - len(prefix))
-    present_ok = [b == 1 for b in prefix] + [True] * (num - len(prefix))
+    base = max(n - TAIL, 0)
+    tail = (n - base) * (n - base - 1) // 2
+    head = num - tail
+    table = _tail_table(n, tuple(prefix[head:]))
+    fits: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    fixed = prefix[:head]
+    absent_ok = [b == 0 for b in fixed] + [True] * (head - len(fixed))
+    present_ok = [b == 1 for b in fixed] + [True] * (head - len(fixed))
     rows = [0] * n
     deg = [0] * n
     slack = [n - 1 - dmin] * n  # absent slots each vertex can still afford
-    branch = [0] * num
+    branch = [0] * head
     m, need = 0, n * dmin
     i = 0
     while i >= 0:
-        if i == num:
-            yield tuple(rows)
+        if i == head:
+            key = (
+                *[max(dmin - d, 0) for d in deg[base:]],
+                max(m_lo - m, 0),
+                min(m_hi - m, tail),
+            )
+            tails = fits.get(key)
+            if tails is None:
+                *short, lo, hi = key
+                tails = fits[key] = [
+                    t_rows
+                    for t_rows, t_deg, t_m in table
+                    if lo <= t_m <= hi and all(map(ge, t_deg, short))
+                ]
+            for t_rows in tails:
+                yield tuple(map(or_, rows, t_rows))
             i -= 1
             continue
         u, v = slots[i]

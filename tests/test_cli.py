@@ -92,6 +92,26 @@ def test_find_cut_minimum_on_complete_graph_is_input_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("degencut: error:")
 
 
+def test_find_cut_refuses_bad_k_before_reading_input(tmp_path, capsys):
+    path = write_graphs(tmp_path, cycle(5), cycle(6))
+    for flags, message in (
+        (["--k", "-1"], "k must be nonnegative, got -1"),
+        (["--k", "-1", "--minimum"], "k must be nonnegative, got -1"),
+        (["--k", "1", "--minimum"], "k must be at least 2, got 1"),
+        (["--k", "0", "--minimum", "--quiet"], "k must be at least 2, got 0"),
+    ):
+        assert main(["find-cut", *flags, "--input", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"degencut: error: {message}\n"
+    # the refusal comes before the input is opened
+    assert main(["find-cut", "--k", "-1", "--input", str(tmp_path / "absent.g6")]) == 1
+    assert capsys.readouterr().err == "degencut: error: k must be nonnegative, got -1\n"
+    piped = run_cli("find-cut", "--k", "1", "--minimum", input="D~{\n" * 3)
+    assert (piped.returncode, piped.stdout) == (1, "")
+    assert piped.stderr == "degencut: error: k must be at least 2, got 1\n"
+
+
 def test_min_cuts_square(tmp_path, capsys):
     path = write_graphs(tmp_path, cycle(4))
     assert main(["min-cuts", "--input", path]) == 0

@@ -4,6 +4,7 @@ labeling, checked against the n! brute-force form and by orbit counting."""
 
 import random
 from collections import Counter
+from itertools import product
 from math import factorial
 
 import pytest
@@ -68,33 +69,67 @@ def test_edge_cap_at_the_degree_floor_leaves_the_regular_graphs():
     assert all(g.degrees() == (4,) * 8 for g in got)
 
 
+def test_thm3_scan_space_is_pinned():
+    # the space of the n=8 thm3 scan: four head vertices, four tail vertices
+    stream = enumerate_labeled(EnumerationSpec(8, edge_range=(0, 17), min_degree=4))
+    first = last = next(stream)
+    count = 1
+    for last in stream:
+        count += 1
+    assert count == 347_375
+    assert first.rows == (240, 240, 240, 240, 15, 15, 15, 15)
+    assert last.rows == (126, 29, 43, 135, 195, 197, 177, 120)
+
+
 def test_connected_counts():
     assert len(all_of(EnumerationSpec(3, connected_only=True))) == 4
     assert len(all_of(EnumerationSpec(4, connected_only=True))) == 38
 
 
+def slot_space(n):
+    """Every labeled graph on n vertices, built slot by slot, in slot order."""
+    slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    graphs = []
+    for choice in product((0, 1), repeat=len(slots)):
+        rows = [0] * n
+        for (u, v), bit in zip(slots, choice):
+            rows[u] |= bit << v
+            rows[v] |= bit << u
+        graphs.append(Graph(n, tuple(rows)))
+    return graphs
+
+
 def test_stream_matches_brute_filter():
-    # the emitted set must be exactly the brute filter of the full space, also
-    # where the degree-deficit bound prunes (6 vertices, min degree 3, at most
-    # 9 edges: the 3-regular graphs only), where the edge floor binds, and
-    # where nothing qualifies (including a min degree of n)
-    spaces = {n: all_of(EnumerationSpec(n)) for n in (5, 6)}
-    for spec in (
+    # the stream must be exactly the brute filter of the full space, in slot
+    # order, also where the degree-deficit bound prunes (6 vertices, min
+    # degree 3, at most 9 edges: the 3-regular graphs only), where the edge
+    # floor binds, and where nothing qualifies (including a min degree of n);
+    # at n <= 4 the whole graph comes off the tail table, so every min degree
+    # is tried with edge ranges that bind at the floor, the cap, both or none
+    spaces = {n: slot_space(n) for n in range(7)}
+    specs = [
         EnumerationSpec(5, edge_range=(6, 10), min_degree=3),
         EnumerationSpec(6, edge_range=(0, 9), min_degree=3),
         EnumerationSpec(6, edge_range=(4, 10), min_degree=2),
         EnumerationSpec(6, edge_range=(0, 8), min_degree=3),
         EnumerationSpec(5, edge_range=(0, 10), min_degree=5),
-    ):
+    ]
+    for n in range(5):
+        top = n * (n - 1) // 2
+        for lo, hi in sorted({(0, top), (0, top // 2), (top // 2, top), (1, top - 1)}):
+            if lo <= hi:
+                specs += [
+                    EnumerationSpec(n, edge_range=(lo, hi), min_degree=dmin)
+                    for dmin in range(n + 1)
+                ]
+    for spec in specs:
         lo, hi = spec.edge_range
-        want = {
+        want = [
             g
             for g in spaces[spec.n]
-            if lo <= g.m <= hi and g.min_degree() >= spec.min_degree
-        }
-        got = all_of(spec)
-        assert set(got) == want
-        assert len(got) == len(set(got))
+            if lo <= g.m <= hi and (g.n == 0 or g.min_degree() >= spec.min_degree)
+        ]
+        assert all_of(spec) == want, spec
 
 
 def test_stream_is_deterministic():
@@ -109,7 +144,11 @@ def slot_bits(g):
 def test_stream_is_in_slot_order():
     # absent branch first: every stream, prefix streams included, lists its
     # slot-bit vectors in strictly increasing lexicographic order
+    # at n <= 4 the prefixes fix slots of the tail table
     for spec in (
+        *(EnumerationSpec(n) for n in range(5)),
+        EnumerationSpec(4, edge_range=(2, 4), min_degree=1),
+        EnumerationSpec(4, min_degree=2),
         EnumerationSpec(5),
         EnumerationSpec(6, min_degree=4),
         EnumerationSpec(6, edge_range=(4, 10), min_degree=2),
@@ -124,14 +163,17 @@ def test_stream_is_in_slot_order():
 
 
 def test_prefix_streams_tile_the_sequential_stream():
+    # 64 tasks reach the tail slots at n = 5; at n <= 4 every prefix does
     for spec in (
+        *(EnumerationSpec(n) for n in range(5)),
+        EnumerationSpec(4, edge_range=(2, 4), min_degree=1),
         EnumerationSpec(5),
         EnumerationSpec(6, min_degree=4),
         EnumerationSpec(5, edge_range=(2, 7), connected_only=True),
         EnumerationSpec(6, edge_range=(0, 9), min_degree=3),
     ):
         whole = all_of(spec)
-        for tasks in (2, 5, 16):
+        for tasks in (2, 5, 16, 64):
             prefixes = partition_prefixes(spec, tasks)
             tiled = [g for p in prefixes for g in all_of(spec, p)]
             assert tiled == whole
