@@ -3,7 +3,7 @@
 Subcommands:
   analyze            per-graph JSON summary (n, m, min_degree, degeneracy, kappa)
   find-cut --k K     search for a k-degenerate vertex cut (--minimum restricts
-                     the search to cuts of minimum size)
+                     the search to minimum cuts: [] for a disconnected graph)
   min-cuts           enumerate every minimum vertex cut with certificates
   construct          emit an extremal construction as graph6 (ring | join)
   verify WHICH       scan a graph source against one of the built-in targets
@@ -29,8 +29,8 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import string
 import sys
-from contextlib import nullcontext
 from typing import Callable, Iterator
 
 from .connectivity import minimum_cuts, vertex_connectivity
@@ -111,10 +111,12 @@ def _build_parser() -> _Parser:
 
 
 def _input_lines(path: str | None) -> Iterator[tuple[int, str]]:
-    """(line number, stripped text) for each non-blank line of path, or of stdin."""
-    with nullcontext(sys.stdin) if path is None else open(path) as fh:
+    """(line number, text) per non-blank line of path or stdin. Latin-1 passes
+    each byte to the parser as itself; only ASCII whitespace is stripped."""
+    source = sys.stdin.fileno() if path is None else path
+    with open(source, encoding="latin-1", closefd=path is not None) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            if line := raw.strip():
+            if line := raw.strip(string.whitespace):
                 yield lineno, line
 
 

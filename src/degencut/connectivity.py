@@ -298,8 +298,9 @@ def _min_separators(res: list[int], s: int, t: int, kappa: int, out: list[int]) 
     choose(0, closed, 0, 0)
 
 
-def minimum_cut_sets(g: Graph) -> list[tuple[int, ...]]:
-    """All vertex cuts of size kappa = vertex_connectivity(g), in lex order.
+def minimum_cut_sets(g: Graph) -> list[int]:
+    """All vertex cuts of size kappa = vertex_connectivity(g), as bitmasks,
+    lexicographic by sorted vertex tuple; a disconnected graph has one, 0.
 
     One pass over `_eh_pairs` keeps the least pair flow `best` (each flow is
     cut off at best, which starts at the minimum degree) and the separators of
@@ -314,7 +315,7 @@ def minimum_cut_sets(g: Graph) -> list[tuple[int, ...]]:
     or more components can separate a later pair as well, hence the set.
     """
     if not is_connected(g):
-        return [()]
+        return [0]
     rows = list(g.rows)
     best = g.min_degree()
     found: list[int] = []
@@ -326,7 +327,7 @@ def minimum_cut_sets(g: Graph) -> list[tuple[int, ...]]:
         _min_separators(res, s, t, best, found)
         rows[s] |= 1 << t
         rows[t] |= 1 << s
-    return sorted(tuple(bits(cut)) for cut in set(found))
+    return sorted(set(found), key=lambda cut: tuple(bits(cut)))
 
 
 def minimum_cuts(g: Graph) -> list[CutCertificate]:

@@ -21,12 +21,11 @@ from .connectivity import (
     certify_cut,
     check_minimum_cut,
     component_mask,
-    is_connected,
     is_cut,
     minimum_cut_sets,
 )
 from .degeneracy import core_mask
-from .graph import Graph, bits, mask_of
+from .graph import Graph
 
 
 def minimal_separators(g: Graph) -> Iterator[int]:
@@ -106,16 +105,20 @@ def find_degenerate_cut(g: Graph, k: int) -> CutCertificate | None:
 
     If some minimum-degree vertex u has degree <= k+1 and N[u] != V, its open
     neighborhood is returned immediately. Otherwise the first k-degenerate cut
-    by size, then lexicographically, is a minimal separator: the separators
-    are tried in that order."""
+    by size, then lexicographically, is a minimal separator. A running best
+    keeps it; only a separator ahead of the best is peeled, and of two sets of
+    one size the one holding the lowest vertex of their difference is ahead."""
     _check_order(g, k)
     cut = _small_degenerate_cut(g, k)
     if cut is not None and cut.bit_count() <= k + 1:
         return certify_cut(g, cut)
-    for s in sorted(minimal_separators(g), key=lambda s: (s.bit_count(), tuple(bits(s)))):
-        if not core_mask(g.rows, s, k):
-            return certify_cut(g, s)
-    return None
+    full = best = g.full_mask  # larger than every separator
+    for s in minimal_separators(g):
+        grow = s.bit_count() - best.bit_count()
+        diff = s ^ best
+        if (grow < 0 or grow == 0 and diff & -diff & s) and not core_mask(g.rows, s, k):
+            best = s
+    return None if best == full else certify_cut(g, best)
 
 
 def _check_min_cut_input(g: Graph, k: int) -> None:
@@ -123,8 +126,6 @@ def _check_min_cut_input(g: Graph, k: int) -> None:
         raise ValueError(f"k must be at least 2, got {k}")
     if g.is_complete():
         raise ValueError("no cuts exist: graph is complete")
-    if not is_connected(g):
-        raise ValueError("graph must be connected")
 
 
 def find_min_degenerate_cut(g: Graph, k: int) -> CutCertificate | None:
@@ -132,25 +133,16 @@ def find_min_degenerate_cut(g: Graph, k: int) -> CutCertificate | None:
 
     None means the graph has minimum cuts but none of them is k-degenerate:
     the walk covers every minimum cut, because `minimum_cut_sets` lists them
-    all. Requires k >= 2 and a connected, non-complete graph.
+    all. A disconnected graph gets its one minimum cut, the empty set.
+    Requires k >= 2 and a non-complete graph.
     """
     _check_min_cut_input(g, k)
     for cut in minimum_cut_sets(g):
-        if not core_mask(g.rows, mask_of(cut), k):
+        if not core_mask(g.rows, cut, k):
             cert = certify_cut(g, cut)
             check_minimum_cut(g, cert)
             return cert
     return None
-
-
-def _has_min_degenerate_cut(g: Graph, k: int) -> bool:
-    """`exists_min_degenerate_cut` without its input check up front: the
-    neighbourhood shortcuts run unchecked, and a graph they do not settle
-    goes to `find_min_degenerate_cut`, which checks its input again."""
-    return (
-        _small_degenerate_cut(g, k) is not None
-        or find_min_degenerate_cut(g, k) is not None
-    )
 
 
 def exists_min_degenerate_cut(g: Graph, k: int) -> bool:
@@ -160,7 +152,11 @@ def exists_min_degenerate_cut(g: Graph, k: int) -> bool:
     the question. |S| >= kappa always, so either kappa <= k+1 -- then minimum
     cuts exist (the graph is not complete) and each has at most k+1 vertices,
     hence is k-degenerate -- or kappa = k+2 = |S| and S itself is a minimum
-    k-degenerate cut. `_small_degenerate_cut` finds such cuts on valid input;
-    otherwise `find_min_degenerate_cut` decides."""
+    k-degenerate cut. `_small_degenerate_cut` finds such cuts; otherwise
+    `find_min_degenerate_cut` decides. On valid input (k >= 2, not complete)
+    a disconnected graph answers True: its minimum cut is the empty set."""
     _check_min_cut_input(g, k)
-    return _has_min_degenerate_cut(g, k)
+    return (
+        _small_degenerate_cut(g, k) is not None
+        or find_min_degenerate_cut(g, k) is not None
+    )

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 from functools import partial
 
 from .connectivity import is_connected
-from .cut_search import _has_min_degenerate_cut, has_degenerate_cut
+from .cut_search import exists_min_degenerate_cut, has_degenerate_cut
 from .enumeration import (
     EnumerationSpec,
     canonical_graph,
@@ -113,7 +113,7 @@ def evaluate(which: str, k: int, g: Graph) -> tuple[bool, str | None]:
     if which == "thm3":
         if n < k + 6 or not hyp_thm3(k, n, m) or not is_connected(g):
             return False, None
-        ok = _has_min_degenerate_cut(g, k)
+        ok = exists_min_degenerate_cut(g, k)
         return True, None if ok else f"no minimum {k}-degenerate cut"
     if which == "mindeg":
         if not _no_degenerate_cut(g, k):

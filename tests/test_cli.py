@@ -31,11 +31,13 @@ def write_graphs(tmp_path, *graphs):
 
 
 def run_cli(*argv, input=None):
+    # Latin-1 both ways, so each character of input reaches the child as the
+    # one byte of the same number
     return subprocess.run(
         [sys.executable, "-m", "degencut", *argv],
         input=input,
         capture_output=True,
-        text=True,
+        encoding="latin-1",
         timeout=300,
     )
 
@@ -295,17 +297,35 @@ def test_bad_graph6_input(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("degencut: error: line 2:")
+    # a byte that is not UTF-8 fails its own line only, named by its number
+    good = to_graph6(cycle(5)).encode()
+    f.write_bytes(good + b"\n\xff\xfe\n" + good + b"\n")
+    for argv in (["analyze"], ["find-cut", "--k", "2"], ["min-cuts"]):
+        assert main([*argv, "--input", str(f)]) == 1
+        captured = capsys.readouterr()
+        first, error, last = map(json.loads, captured.out.splitlines())
+        assert first == last and "error" not in first
+        assert error["line"] == 2
+        assert error["error"].startswith("byte 255 outside graph6 range 63..126")
+        assert captured.err.startswith("degencut: error: line 2: byte 255 ")
+    # a line ends at \n, \r\n or \r, and only ASCII whitespace is stripped
+    f.write_bytes(b"D~{\rD~{\r\nD~{\xa0\n")
+    assert main(["analyze", "--input", str(f)]) == 1
+    first, second, third = map(json.loads, capsys.readouterr().out.splitlines())
+    assert first == second and "error" not in first
+    assert third["line"] == 3 and third["error"].startswith("byte 160 ")
 
 
 def test_verify_input_goes_past_a_bad_line(tmp_path, capsys):
     f = tmp_path / "mixed.g6"
-    f.write_text("D~{\nbad\nD~{\n")
-    rc = main(["verify", "thm2", "--input", str(f)])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert json.loads(captured.out)["scanned"] == 2
-    assert captured.err.startswith("degencut: error: line 2:")
-    assert captured.err.count("\n") == 1
+    for bad in (b"bad", b"\xff\xfe"):
+        f.write_bytes(b"D~{\n" + bad + b"\nD~{\n")
+        rc = main(["verify", "thm2", "--input", str(f)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert json.loads(captured.out)["scanned"] == 2
+        assert captured.err.startswith("degencut: error: line 2:")
+        assert captured.err.count("\n") == 1
 
 
 def test_min_cuts_and_minimum_find_cut_go_past_a_complete_graph(tmp_path, capsys):
@@ -319,6 +339,17 @@ def test_min_cuts_and_minimum_find_cut_go_past_a_complete_graph(tmp_path, capsys
         assert captured.err == (
             "degencut: error: line 2: no cuts exist: graph is complete\n"
         )
+
+
+def test_minimum_find_cut_gives_a_disconnected_graph_the_empty_cut(tmp_path, capsys):
+    f = tmp_path / "split.g6"
+    f.write_text("CO\n")  # one edge on four vertices
+    assert main(["find-cut", "--minimum", "--k", "2", "--input", str(f)]) == 0
+    found = json.loads(capsys.readouterr().out)
+    assert found["found"] is True and found["cut"] == []
+    assert main(["min-cuts", "--input", str(f)]) == 0
+    listed = json.loads(capsys.readouterr().out)
+    assert [c["cut"] for c in listed["cuts"]] == [found["cut"]]
 
 
 def test_missing_file(capsys):
@@ -344,18 +375,28 @@ def test_entry_point_pipes_stdin():
 
 def test_stream_goes_past_a_bad_line():
     # the blank line is skipped but still counted, so the bad line is line 3
-    out = run_cli("analyze", input="D~{\n\nbad\nD~{\n")
-    assert out.returncode == 1
-    first, error, last = map(json.loads, out.stdout.splitlines())
-    assert first == last == {
-        "n": 5,
-        "m": 10,
-        "min_degree": 4,
-        "degeneracy": 4,
-        "kappa": 4,
-    }
-    assert error["line"] == 3 and error["error"]
-    assert out.stderr.startswith("degencut: error: line 3:")
+    for bad in ("bad", "\xff\xfe"):
+        out = run_cli("analyze", input="D~{\n\n" + bad + "\nD~{\n")
+        assert out.returncode == 1
+        first, error, last = map(json.loads, out.stdout.splitlines())
+        assert first == last == {
+            "n": 5,
+            "m": 10,
+            "min_degree": 4,
+            "degeneracy": 4,
+            "kappa": 4,
+        }
+        assert error["line"] == 3 and error["error"]
+        assert out.stderr.startswith("degencut: error: line 3:")
+    assert error["error"].startswith("byte 255 outside graph6 range 63..126")
+    good = to_graph6(cycle(5))
+    for argv in (["find-cut", "--k", "2"], ["min-cuts"]):
+        out = run_cli(*argv, input=f"{good}\n\xff\xfe\n{good}\n")
+        assert out.returncode == 1
+        first, error, last = map(json.loads, out.stdout.splitlines())
+        assert first == last and "error" not in first
+        assert error["line"] == 2
+        assert error["error"].startswith("byte 255 outside graph6 range 63..126")
 
 
 def test_module_invocation():

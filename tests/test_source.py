@@ -1,8 +1,8 @@
 """Source-level rules for the package: `python -O` strips `assert`
 statements, so no correctness check in src/degencut may be one; no
-private module-level helper may outlive its last caller; the package's
-`__all__` names exactly what its `__init__` imports; and every module is
-reached from the CLI."""
+private module-level helper may outlive its last caller; no module imports
+another module's private name; the package's `__all__` names exactly what
+its `__init__` imports; and every module is reached from the CLI."""
 
 import ast
 import re
@@ -37,6 +37,19 @@ def test_every_private_module_function_is_referenced():
         and len(re.findall(rf"\b{node.name}\b", everything)) < 2
     ]
     assert unused == []
+
+
+def test_no_module_imports_a_private_name_from_another():
+    crossing = [
+        f"{path.name}:{node.lineno}:{alias.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "degencut")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert crossing == []
 
 
 def test_all_lists_exactly_the_imported_names():
