@@ -35,7 +35,6 @@ from .enumeration import (
     canonical_form,
     canonical_graph,
     enumerate_labeled,
-    partition_prefixes,
 )
 from .graph import (
     Graph,
@@ -48,9 +47,7 @@ from .graph import (
     induced_subgraph,
     join,
     path,
-    petersen,
     random_graph,
-    remove_vertices,
 )
 from .graph6 import Graph6Error, parse_graph6, to_graph6
 from .verify import (
@@ -106,12 +103,9 @@ __all__ = [
     "max_k_core",
     "minimum_cuts",
     "parse_graph6",
-    "partition_prefixes",
     "path",
-    "petersen",
     "random_graph",
     "random_ring_spec",
-    "remove_vertices",
     "ring_of_cliques",
     "to_graph6",
     "verify_theorem",

@@ -16,19 +16,20 @@ Exit status: 0 success or PASS, 2 counterexample found or no cut exists,
 that does not parse, or a graph the command refuses, such as a complete graph
 for min-cuts) prints {"line": i, "error": ...} on stdout and the stream goes
 on; the exit status is then 1. verify --input names a line that does not
-parse on stderr only, scans on, and exits 1 after its report. verify refuses
-(exit 1) a flag its source never reads: --min-deg, --max-edges, --connected
-or --jobs other than 1 without --exhaustive, --n with --input, and --seed
-without --sample. verify refuses a negative --n, and verify and enumerate
-refuse --jobs below 1. find-cut refuses a negative --k, and --minimum with
---k below 2, before it reads any input.
+parse on stderr only, scans on, and exits 1 after its report. verify reads
+exactly one source, --exhaustive with --n or --input, and refuses (exit 1) a
+flag that source never reads: --min-deg, --max-edges, --connected or --jobs
+other than 1 without --exhaustive, and --n with --input. verify refuses a
+negative --n, and verify and enumerate refuse --jobs below 1 and a negative
+--max-edges; a --max-edges above n(n-1)/2 caps nothing and is taken as
+n(n-1)/2. find-cut refuses a negative --k, and --minimum with --k below 2,
+before it reads any input.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import string
 import sys
 from typing import Callable, Iterator
@@ -38,7 +39,7 @@ from .constructions import RingSpec, join_extremal, random_ring_spec, ring_of_cl
 from .cut_search import find_degenerate_cut, find_min_degenerate_cut
 from .degeneracy import degeneracy
 from .enumeration import EnumerationSpec, enumerate_labeled, map_prefixes
-from .graph import Graph, random_graph
+from .graph import Graph
 from .graph6 import parse_graph6, to_graph6
 from .verify import THEOREMS, verify_theorem, verify_theorem_exhaustive
 
@@ -83,14 +84,12 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="verify a bound or cut guarantee")
     p.add_argument("which", choices=THEOREMS, help="verification target")
     p.add_argument("--k", type=int, help="degeneracy parameter (thm2 fixes 2)")
-    p.add_argument("--n", type=int, help="order for --exhaustive / --sample")
+    p.add_argument("--n", type=int, help="order for --exhaustive")
     p.add_argument("--exhaustive", action="store_true", help="scan all labeled graphs of order n")
     p.add_argument("--min-deg", type=int, help="exhaustive: minimum degree")
     p.add_argument("--max-edges", type=int, help="exhaustive: edge cap")
     p.add_argument("--connected", action="store_true", help="exhaustive: connected only")
     p.add_argument("--input", metavar="FILE", help="verify graphs from a graph6 file")
-    p.add_argument("--sample", type=int, metavar="COUNT", help="verify random graphs")
-    p.add_argument("--seed", type=int, help="sampling seed (default 0)")
     p.add_argument(
         "--jobs", type=int, default=1,
         help="worker processes, at most the CPU count; output does not depend on it",
@@ -221,6 +220,21 @@ def _check_jobs(jobs: int) -> None:
         raise ValueError(f"--jobs must be at least 1, got {jobs}")
 
 
+def _scan_spec(args: argparse.Namespace) -> EnumerationSpec:
+    """The labeled stream named by --n, --min-deg, --max-edges and
+    --connected. A cap above n(n-1)/2 bounds nothing, so it is clamped there;
+    a negative cap is left for the enumeration to refuse."""
+    edge_range = None
+    if args.max_edges is not None:
+        edge_range = (0, min(args.max_edges, args.n * (args.n - 1) // 2))
+    return EnumerationSpec(
+        n=args.n,
+        edge_range=edge_range,
+        min_degree=args.min_deg,
+        connected_only=args.connected,
+    )
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     k = args.k
     if args.which == "thm2":
@@ -231,37 +245,23 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.n is not None and args.n < 0:
         raise ValueError(f"--n must be nonnegative, got {args.n}")
     _check_jobs(args.jobs)
-    sources = [args.exhaustive, args.input is not None, args.sample is not None]
-    if sum(sources) != 1:
-        raise ValueError("choose exactly one of --exhaustive, --input, --sample")
-    if (args.exhaustive or args.sample is not None) and args.n is None:
-        raise ValueError("--n is required with --exhaustive / --sample")
-    if args.input is not None and args.n is not None:
-        raise ValueError("--n does not apply to --input")
-    if args.sample is not None and args.sample < 0:
-        raise ValueError(f"--sample must be nonnegative, got {args.sample}")
-    filters = [args.min_deg is not None, args.max_edges is not None, args.connected]
-    if any(filters) and not args.exhaustive:
-        raise ValueError("--min-deg, --max-edges and --connected need --exhaustive")
-    if args.jobs != 1 and not args.exhaustive:
-        raise ValueError("--jobs needs --exhaustive")
-    if args.seed is not None and args.sample is None:
-        raise ValueError("--seed needs --sample")
+    if args.exhaustive == (args.input is not None):
+        raise ValueError("choose exactly one of --exhaustive and --input")
     failed: list[int] = []
     if args.exhaustive:
-        spec = EnumerationSpec(
-            n=args.n,
-            edge_range=None if args.max_edges is None else (0, args.max_edges),
-            min_degree=args.min_deg,
-            connected_only=args.connected,
-        )
+        if args.n is None:
+            raise ValueError("--n is required with --exhaustive")
+        spec = _scan_spec(args)
         report = verify_theorem_exhaustive(args.which, k, spec, jobs=args.jobs)
-    elif args.input is not None:
-        report = verify_theorem(args.which, k, _input_graphs(args.input, failed))
     else:
-        rng = random.Random(args.seed or 0)
-        stream = (random_graph(args.n, rng) for _ in range(args.sample))
-        report = verify_theorem(args.which, k, stream)
+        if args.n is not None:
+            raise ValueError("--n does not apply to --input")
+        unread = args.min_deg is not None or args.max_edges is not None
+        if unread or args.connected or args.jobs != 1:
+            raise ValueError(
+                "--min-deg, --max-edges, --connected and --jobs need --exhaustive"
+            )
+        report = verify_theorem(args.which, k, _input_graphs(args.input, failed))
     if args.quiet:
         print("PASS" if report.passed else "FAIL")
     else:
@@ -275,12 +275,7 @@ def _enumerate_task(spec: EnumerationSpec, prefix: tuple[int, ...]) -> list[str]
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     _check_jobs(args.jobs)
-    spec = EnumerationSpec(
-        n=args.n,
-        edge_range=None if args.max_edges is None else (0, args.max_edges),
-        min_degree=args.min_deg,
-        connected_only=args.connected,
-    )
+    spec = _scan_spec(args)
     out = sys.stdout
     if args.jobs <= 1:
         for g in enumerate_labeled(spec):

@@ -120,13 +120,6 @@ def induced_subgraph(g: Graph, vertices: Iterable[int] | int) -> Graph:
     return Graph(len(kept), tuple(rows))
 
 
-def remove_vertices(g: Graph, vertices: Iterable[int] | int) -> Graph:
-    drop = mask_of(vertices)
-    if drop & ~g.full_mask:
-        raise ValueError("vertex set is not contained in the graph")
-    return induced_subgraph(g, g.full_mask & ~drop)
-
-
 def join(g: Graph, h: Graph) -> Graph:
     """Disjoint union of g and h plus every edge between the two sides."""
     ng, nh = g.n, h.n

@@ -26,7 +26,6 @@ from degencut import (
     join_extremal,
     minimum_cuts,
     parse_graph6,
-    petersen,
     random_graph,
     random_ring_spec,
     ring_of_cliques,
@@ -36,6 +35,7 @@ from degencut import (
 )
 from degencut import RingSpec, vertex_connectivity
 from degencut.degeneracy import max_k_core
+from degencut.graph import petersen
 from degencut.verify import evaluate
 
 from conftest import random_graph_stream

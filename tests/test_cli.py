@@ -17,11 +17,11 @@ from degencut import (
     complete,
     cycle,
     parse_graph6,
-    petersen,
     ring_of_cliques,
     to_graph6,
 )
 from degencut.cli import main
+from degencut.graph import petersen
 
 
 def write_graphs(tmp_path, *graphs):
@@ -176,24 +176,19 @@ def test_verify_counterexample_exits_2(tmp_path, capsys):
     assert got["exhaustive"] is False
 
 
-def test_verify_sample_mode(capsys):
-    rc = main(["verify", "thm2", "--n", "6", "--sample", "40", "--seed", "3"])
-    assert rc == 0
-    got = json.loads(capsys.readouterr().out)
-    assert got["scanned"] == 40
-    assert not got["exhaustive"]
-
-
-def test_verify_sample_is_seed_deterministic(capsys):
-    argv = ["verify", "mindeg", "--k", "0", "--n", "5", "--sample", "25"]
-    # no --seed draws from seed 0
-    for first, second in ((["--seed", "11"], ["--seed", "11"]), ([], ["--seed", "0"])):
-        main(argv + first)
-        a = json.loads(capsys.readouterr().out)
-        main(argv + second)
-        b = json.loads(capsys.readouterr().out)
-        a.pop("seconds"), b.pop("seconds")
-        assert a == b
+def test_edge_cap_above_the_complete_graph_caps_nothing(capsys):
+    assert main(["enumerate", "--n", "4", "--max-edges", "20"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 64
+    assert main(["verify", "thm2", "--n", "5", "--exhaustive", "--max-edges", "11"]) == 0
+    assert json.loads(capsys.readouterr().out)["scanned"] == 1024
+    for argv in (
+        ["enumerate", "--n", "4", "--max-edges", "-1"],
+        ["verify", "thm2", "--n", "5", "--exhaustive", "--max-edges", "-1"],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("degencut: error: edge range [0, -1] outside")
 
 
 # ---------------------------------------------------------------- errors
@@ -206,9 +201,19 @@ def test_verify_requires_k_for_thm1(capsys):
 
 
 def test_verify_source_conflict(capsys):
-    rc = main(["verify", "thm2", "--n", "5", "--exhaustive", "--sample", "3"])
+    rc = main(["verify", "thm2", "--n", "5", "--exhaustive", "--input", "graphs.g6"])
     assert rc == 1
     assert "exactly one" in capsys.readouterr().err
+
+
+def test_verify_has_no_random_sample_source(capsys):
+    for argv in (["--n", "5", "--sample", "3"], ["--n", "5", "--exhaustive", "--seed", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "thm2", *argv])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
 
 
 def test_verify_needs_a_source(capsys):
@@ -226,11 +231,8 @@ def test_verify_thm2_rejects_other_k(capsys):
 def test_verify_refuses_negative_order_and_sample(tmp_path, capsys):
     path = write_graphs(tmp_path, complete(5))
     for flags, message in (
-        (["--n", "-1", "--sample", "3"], "--n must be nonnegative"),
-        (["--n", "-1", "--sample", "0"], "--n must be nonnegative"),
         (["--n", "-1", "--exhaustive"], "--n must be nonnegative"),
         (["--input", path, "--n", "-1"], "--n must be nonnegative"),
-        (["--n", "5", "--sample", "-3"], "--sample must be nonnegative"),
     ):
         assert main(["verify", "thm2", *flags]) == 1
         captured = capsys.readouterr()
@@ -240,26 +242,26 @@ def test_verify_refuses_negative_order_and_sample(tmp_path, capsys):
 
 def test_verify_refuses_enumeration_filters_without_exhaustive(tmp_path, capsys):
     path = write_graphs(tmp_path, complete(5))
-    filters = "--min-deg, --max-edges and --connected need --exhaustive"
+    unread = "--min-deg, --max-edges, --connected and --jobs need --exhaustive"
     cases = [
-        ([*source, *flags], filters)
-        for source in (["--n", "6", "--sample", "5"], ["--input", path])
-        for flags in (["--min-deg", "4"], ["--max-edges", "3"], ["--connected"])
+        (["--input", path, *flags], unread)
+        for flags in (
+            ["--min-deg", "4"],
+            ["--max-edges", "3"],
+            ["--connected"],
+            ["--jobs", "2"],
+        )
     ] + [
-        (["--n", "5", "--sample", "3", "--jobs", "4"], "--jobs needs --exhaustive"),
-        (["--input", path, "--jobs", "2"], "--jobs needs --exhaustive"),
         (["--input", path, "--n", "7"], "--n does not apply to --input"),
-        (["--n", "5", "--exhaustive", "--seed", "9"], "--seed needs --sample"),
-        (["--input", path, "--seed", "0"], "--seed needs --sample"),
         (["--n", "5", "--exhaustive", "--jobs", "0"], "--jobs must be at least 1"),
-        (["--n", "5", "--sample", "3", "--jobs", "-3"], "--jobs must be at least 1"),
+        (["--input", path, "--jobs", "-3"], "--jobs must be at least 1"),
     ]
     for argv, message in cases:
         assert main(["verify", "thm2", *argv]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"degencut: error: {message}")
-    assert main(["verify", "thm2", "--n", "5", "--sample", "3", "--jobs", "1", "--quiet"]) == 0
+    assert main(["verify", "thm2", "--n", "5", "--exhaustive", "--jobs", "1", "--quiet"]) == 0
     assert capsys.readouterr().out == "PASS\n"
 
 

@@ -17,13 +17,13 @@ from degencut import (
     minimum_cuts,
     parse_graph6,
     path,
-    petersen,
     random_graph,
     random_ring_spec,
     ring_of_cliques,
     vertex_connectivity,
 )
 from degencut.connectivity import check_minimum_cut
+from degencut.graph import petersen
 from oracles import brute_minimum_cuts, brute_vertex_connectivity
 
 

@@ -20,13 +20,12 @@ from degencut import (
     induced_subgraph,
     join_extremal,
     path,
-    petersen,
     random_graph,
     ring_of_cliques,
     RingSpec,
 )
 from degencut.cut_search import _small_degenerate_cut, minimal_separators
-from degencut.graph import bits
+from degencut.graph import bits, petersen
 from oracles import (
     brute_first_degenerate_cut,
     brute_has_degenerate_cut,

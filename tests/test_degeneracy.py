@@ -16,11 +16,10 @@ from degencut import (
     is_k_degenerate,
     max_k_core,
     path,
-    petersen,
     random_graph,
 )
 from degencut.degeneracy import core_mask
-from degencut.graph import bits, induced_subgraph, mask_of
+from degencut.graph import bits, induced_subgraph, mask_of, petersen
 from oracles import peel_with_order, ref_is_k_degenerate
 
 

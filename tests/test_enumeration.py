@@ -19,12 +19,12 @@ from degencut import (
     cycle,
     enumerate_labeled,
     from_edges,
-    partition_prefixes,
-    petersen,
     random_graph,
     ring_of_cliques,
 )
 from degencut import enumeration
+from degencut.enumeration import partition_prefixes
+from degencut.graph import petersen
 
 from oracles import brute_automorphism_count, brute_canonical_form
 

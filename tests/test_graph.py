@@ -14,11 +14,9 @@ from degencut import (
     induced_subgraph,
     join,
     path,
-    petersen,
     random_graph,
-    remove_vertices,
 )
-from degencut.graph import bits, mask_of
+from degencut.graph import bits, mask_of, petersen
 
 
 def small_graphs(max_n=8):
@@ -92,11 +90,6 @@ def test_induced_subgraph_relabels_ascending():
     assert sorted(h.edges()) == [(0, 1)]
     with pytest.raises(ValueError):
         induced_subgraph(g, [5])
-
-
-def test_remove_vertices_is_the_complement_selection():
-    g = cycle(5)
-    assert remove_vertices(g, [0]) == induced_subgraph(g, [1, 2, 3, 4])
 
 
 def test_join_wires_all_cross_edges():
