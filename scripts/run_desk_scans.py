@@ -4,8 +4,8 @@ per scan.
 
 Every scan streams a pruned labeled enumeration through a verification
 target and must come back with zero violations. The n=8 sparse scan is the
-expensive one (about 40 s in one process, 25 s under --jobs 2, on 2 cores);
---quick drops it.
+expensive one; the whole battery took 19 s in one process and 16 s under
+--jobs 2 (2-vCPU x86_64, Python 3.11.7, one run each). --quick drops it.
 
 Usage:
   python3 scripts/run_desk_scans.py [--out results] [--jobs N] [--quick]

@@ -48,7 +48,10 @@ def components(g: Graph) -> list[tuple[int, ...]]:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
+    """True without a search when 2 * min degree >= n - 1: two non-adjacent
+    vertices then have n - 1 or more neighbours among the other n - 2, so
+    they share one."""
+    if g.n == 0 or 2 * g.min_degree() >= g.n - 1:
         return True
     full = g.full_mask
     return component_mask(g.rows, 1, full) == full

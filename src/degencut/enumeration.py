@@ -22,10 +22,12 @@ every other slot is a head slot.
   built once per walk, in slot order. A prefix that reaches into the tail
   slots drops the tails that disagree with it there.
 - Leaves. At each head leaf the table is filtered to the tails that
-  complete it: each tail vertex w gains at least max(min_degree - deg(w), 0)
-  tail neighbours, and the tail's edge count lies in the window
-  [max(m_lo - m, 0), min(m_hi - m, tail slots)]. The filtered list is kept
-  per (deficits, window) key for the rest of the walk.
+  complete it: each tail vertex w gains at least min_degree - deg(w) tail
+  neighbours, and the tail's edge count t_m lies in [m_lo - m, m_hi - m].
+  The filtered list is kept for the rest of the walk, keyed on the raw walk
+  state (the tail vertices' degrees, m), which fixes both conditions, so the
+  deficits and the window are worked out only for a new key. Each graph
+  carries the walk's edge count m + t_m, so nothing downstream recounts it.
 
 This is the stream of one walk over all slots, because:
 
@@ -106,16 +108,16 @@ def _tail_table(
     return table
 
 
-def _iter_rows(
+def _iter_graphs(
     n: int, m_lo: int, m_hi: int, dmin: int, prefix: tuple[int, ...]
-) -> Iterator[tuple[int, ...]]:
-    """Yield adjacency row tuples for every graph meeting the constraints.
+) -> Iterator[Graph]:
+    """Yield every graph meeting the constraints, its edge count set.
 
     One loop walks the head slots: `branch[i]` is 0 while slot i is
     undecided, 1 inside its absent branch and 2 inside its present branch.
     Leaving a present branch restores the edge count m and the deficit need
     exactly. At a head leaf the tails that complete it are read off the tail
-    table, filtered once per (tail deficits, edge window) key."""
+    table, filtered once per (tail vertices' head degrees, m) key."""
     slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
     num = len(slots)
     if dmin > max(n - 1, 0) or (n * dmin + 1) // 2 > m_hi:
@@ -138,21 +140,18 @@ def _iter_rows(
     i = 0
     while i >= 0:
         if i == head:
-            key = (
-                *[max(dmin - d, 0) for d in deg[base:]],
-                max(m_lo - m, 0),
-                min(m_hi - m, tail),
-            )
+            key = (*deg[base:], m)
             tails = fits.get(key)
             if tails is None:
-                *short, lo, hi = key
+                short = [dmin - d for d in deg[base:]]
+                lo, hi = m_lo - m, m_hi - m
                 tails = fits[key] = [
-                    t_rows
-                    for t_rows, t_deg, t_m in table
-                    if lo <= t_m <= hi and all(map(ge, t_deg, short))
+                    entry
+                    for entry in table
+                    if lo <= entry[2] <= hi and all(map(ge, entry[1], short))
                 ]
-            for t_rows in tails:
-                yield tuple(map(or_, rows, t_rows))
+            for t_rows, _, t_m in tails:
+                yield Graph(n, tuple(map(or_, rows, t_rows)), m + t_m)
             i -= 1
             continue
         u, v = slots[i]
@@ -194,18 +193,24 @@ def _iter_rows(
 def enumerate_labeled(
     spec: EnumerationSpec, prefix: tuple[int, ...] = ()
 ) -> Iterator[Graph]:
-    """Every labeled graph satisfying `spec`, exactly once, in a fixed order."""
-    seen: set[tuple[int, ...]] | None = set() if spec.iso_reject else None
-    for rows in _iter_rows(spec.n, *_validated(spec), prefix):
-        g = Graph(spec.n, rows)
-        if spec.connected_only and not is_connected(g):
-            continue
-        if seen is not None:
-            key = canonical_form(g)
-            if key in seen:
-                continue
+    """Every labeled graph satisfying `spec`, exactly once, in a fixed order.
+    The spec is checked at the call."""
+    graphs = _iter_graphs(spec.n, *_validated(spec), prefix)
+    if spec.connected_only:
+        graphs = filter(is_connected, graphs)
+    if spec.iso_reject:
+        graphs = _first_of_each_class(graphs)
+    return graphs
+
+
+def _first_of_each_class(graphs: Iterator[Graph]) -> Iterator[Graph]:
+    """The graphs of the stream not isomorphic to an earlier one."""
+    seen: set[tuple[int, ...]] = set()
+    for g in graphs:
+        key = canonical_form(g)
+        if key not in seen:
             seen.add(key)
-        yield g
+            yield g
 
 
 def partition_prefixes(spec: EnumerationSpec, tasks: int) -> list[tuple[int, ...]]:

@@ -33,10 +33,11 @@ def bits(mask: int) -> Iterator[int]:
 class Graph:
     __slots__ = ("n", "rows", "_m")
 
-    def __init__(self, n: int, rows: tuple[int, ...]) -> None:
+    def __init__(self, n: int, rows: tuple[int, ...], m: int = -1) -> None:
+        """`m`, if given, is the caller's exact edge count; else `m` counts it."""
         self.n = n
         self.rows = rows
-        self._m = -1
+        self._m = m
 
     @property
     def m(self) -> int:

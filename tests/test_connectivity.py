@@ -4,12 +4,14 @@ from itertools import combinations
 import pytest
 
 from degencut import (
+    EnumerationSpec,
     certify_cut,
     complete,
     complete_bipartite,
     components,
     cycle,
     empty_graph,
+    enumerate_labeled,
     from_edges,
     is_connected,
     is_cut,
@@ -39,6 +41,38 @@ def test_is_connected():
     assert not is_connected(empty_graph(2))
     assert is_connected(path(5))
     assert not is_connected(from_edges(4, [(0, 1), (2, 3)]))
+
+
+def bfs_connected(g):
+    """Plain BFS from vertex 0, no degree bound."""
+    if g.n == 0:
+        return True
+    seen, todo = {0}, [0]
+    while todo:
+        for w in g.neighbors(todo.pop()):
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return len(seen) == g.n
+
+
+def test_is_connected_matches_bfs_on_every_small_graph():
+    # is_connected skips the search when 2 * min degree >= n - 1
+    for n in range(7):
+        for g in enumerate_labeled(EnumerationSpec(n)):
+            assert is_connected(g) == bfs_connected(g), g.rows
+
+
+def test_degree_bound_is_sharp_at_two_disjoint_cliques():
+    # 2 * min degree = n - 2, one short of the bound: the search must run
+    for n in (4, 6, 8):
+        half = n // 2
+        g = from_edges(
+            n,
+            [(u, v) for u, v in combinations(range(n), 2) if (u < half) == (v < half)],
+        )
+        assert 2 * g.min_degree() == n - 2
+        assert not is_connected(g)
 
 
 def test_is_cut_basic():

@@ -81,9 +81,16 @@ def test_thm3_scan_space_is_pinned():
     assert last.rows == (126, 29, 43, 135, 195, 197, 177, 120)
 
 
+def counts_its_edges(g):
+    """Whether the edge count the stream set matches the rows."""
+    return g.m == sum(map(int.bit_count, g.rows)) // 2
+
+
 def test_connected_counts():
     assert len(all_of(EnumerationSpec(3, connected_only=True))) == 4
-    assert len(all_of(EnumerationSpec(4, connected_only=True))) == 38
+    connected = all_of(EnumerationSpec(4, connected_only=True))
+    assert len(connected) == 38
+    assert all(map(counts_its_edges, connected))
 
 
 def slot_space(n):
@@ -129,7 +136,9 @@ def test_stream_matches_brute_filter():
             for g in spaces[spec.n]
             if lo <= g.m <= hi and (g.n == 0 or g.min_degree() >= spec.min_degree)
         ]
-        assert all_of(spec) == want, spec
+        # graph equality ignores m, so the walk's edge counts are compared too
+        got = [(g.rows, g.m) for g in all_of(spec)]
+        assert got == [(g.rows, g.m) for g in want], spec
 
 
 def test_stream_is_deterministic():
@@ -177,6 +186,7 @@ def test_prefix_streams_tile_the_sequential_stream():
             prefixes = partition_prefixes(spec, tasks)
             tiled = [g for p in prefixes for g in all_of(spec, p)]
             assert tiled == whole
+            assert all(map(counts_its_edges, tiled))
 
 
 def test_map_prefixes_clamps_jobs_to_the_cpu_count(monkeypatch):
@@ -212,7 +222,9 @@ def test_partition_rejects_iso_reject():
 def test_iso_reject_counts():
     assert len(all_of(EnumerationSpec(3, iso_reject=True))) == 4
     assert len(all_of(EnumerationSpec(4, iso_reject=True))) == 11
-    assert len(all_of(EnumerationSpec(5, iso_reject=True))) == 34
+    classes = all_of(EnumerationSpec(5, iso_reject=True))
+    assert len(classes) == 34
+    assert all(map(counts_its_edges, classes))
     assert len(all_of(EnumerationSpec(4, iso_reject=True, connected_only=True))) == 6
 
 

@@ -2,7 +2,8 @@
 statements, so no correctness check in src/degencut may be one; no
 private module-level helper may outlive its last caller; no module imports
 another module's private name; the package's `__all__` names exactly what
-its `__init__` imports; and every module is reached from the CLI."""
+its `__init__` imports; every module is reached from the CLI; and no
+module does work at import time beyond defining its names."""
 
 import ast
 import re
@@ -83,3 +84,32 @@ def test_every_module_is_reachable_from_the_cli():
             reached.add(name)
             todo.extend(imports.get(name, ()))
     assert sorted(set(imports) - reached - {"__init__", "__main__"}) == []
+
+
+def _defines_only(node: ast.stmt) -> bool:
+    """A top-level statement that runs nothing at import beyond a definition."""
+    if isinstance(node, (ast.Import, ast.ImportFrom, ast.FunctionDef, ast.ClassDef)):
+        return True
+    if isinstance(node, ast.Expr):  # a docstring
+        return isinstance(node.value, ast.Constant) and isinstance(node.value.value, str)
+    if isinstance(node, ast.If):  # the __main__ guard
+        return ast.unparse(node.test) == "__name__ == '__main__'"
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        return all(
+            isinstance(call.func, ast.Name) and call.func.id == "TypeVar"
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+        )
+    return False
+
+
+def test_no_module_does_work_at_import_time():
+    # every fresh import runs each top-level statement: a table or cache built
+    # there is paid by every process that imports the package
+    work = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if not _defines_only(node)
+    ]
+    assert work == []
