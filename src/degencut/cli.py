@@ -17,12 +17,11 @@ that does not parse, or a graph the command refuses, such as a complete graph
 for min-cuts) prints {"line": i, "error": ...} on stdout and the stream goes
 on; the exit status is then 1. verify --input names a line that does not
 parse on stderr only, scans on, and exits 1 after its report. verify reads
-exactly one source, --exhaustive with --n or --input, and refuses (exit 1) a
-flag that source never reads: --min-deg, --max-edges, --connected or --jobs
-other than 1 without --exhaustive, and --n with --input. verify refuses a
-negative --n, and verify and enumerate refuse --jobs below 1 and a negative
---max-edges; a --max-edges above n(n-1)/2 caps nothing and is taken as
-n(n-1)/2. find-cut refuses a negative --k, and --minimum with --k below 2,
+exactly one source, --n N (every labeled graph of order N) or --input, and
+refuses (exit 1) --min-deg, --max-edges, --connected and --jobs other than 1
+with --input, which never reads them. verify and enumerate refuse a negative
+--n, --jobs below 1 and a negative --max-edges; a --max-edges above n(n-1)/2
+caps nothing and is taken as n(n-1)/2. find-cut refuses a negative --k, and --minimum with --k below 2,
 before it reads any input.
 """
 
@@ -81,30 +80,25 @@ def _build_parser() -> _Parser:
     c.add_argument("--k", type=int, required=True)
     c.add_argument("--n", type=int, required=True, help="total order")
 
-    p = sub.add_parser("verify", help="verify a bound or cut guarantee")
+    scan = argparse.ArgumentParser(add_help=False)
+    scan.add_argument("--min-deg", type=int, help="scan: minimum degree")
+    scan.add_argument("--max-edges", type=int, help="scan: edge cap")
+    scan.add_argument("--connected", action="store_true", help="scan: connected only")
+    scan.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes, at most the CPU count; output does not depend on it",
+    )
+
+    p = sub.add_parser("verify", parents=[scan], help="verify a bound or cut guarantee")
     p.add_argument("which", choices=THEOREMS, help="verification target")
     p.add_argument("--k", type=int, help="degeneracy parameter (thm2 fixes 2)")
-    p.add_argument("--n", type=int, help="order for --exhaustive")
-    p.add_argument("--exhaustive", action="store_true", help="scan all labeled graphs of order n")
-    p.add_argument("--min-deg", type=int, help="exhaustive: minimum degree")
-    p.add_argument("--max-edges", type=int, help="exhaustive: edge cap")
-    p.add_argument("--connected", action="store_true", help="exhaustive: connected only")
-    p.add_argument("--input", metavar="FILE", help="verify graphs from a graph6 file")
-    p.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes, at most the CPU count; output does not depend on it",
-    )
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--n", type=int, help="scan all labeled graphs of order N")
+    source.add_argument("--input", metavar="FILE", help="verify graphs from a graph6 file")
     p.add_argument("--quiet", action="store_true", help="print PASS/FAIL only")
 
-    p = sub.add_parser("enumerate", help="stream labeled graphs as graph6")
+    p = sub.add_parser("enumerate", parents=[scan], help="stream labeled graphs as graph6")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--min-deg", type=int, help="minimum degree")
-    p.add_argument("--max-edges", type=int, help="edge cap")
-    p.add_argument("--connected", action="store_true")
-    p.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes, at most the CPU count; output does not depend on it",
-    )
 
     return parser
 
@@ -242,25 +236,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             k = 2
     elif k is None:
         raise ValueError(f"--k is required for {args.which}")
-    if args.n is not None and args.n < 0:
-        raise ValueError(f"--n must be nonnegative, got {args.n}")
     _check_jobs(args.jobs)
-    if args.exhaustive == (args.input is not None):
-        raise ValueError("choose exactly one of --exhaustive and --input")
     failed: list[int] = []
-    if args.exhaustive:
-        if args.n is None:
-            raise ValueError("--n is required with --exhaustive")
+    if args.n is not None:
         spec = _scan_spec(args)
         report = verify_theorem_exhaustive(args.which, k, spec, jobs=args.jobs)
     else:
-        if args.n is not None:
-            raise ValueError("--n does not apply to --input")
         unread = args.min_deg is not None or args.max_edges is not None
         if unread or args.connected or args.jobs != 1:
-            raise ValueError(
-                "--min-deg, --max-edges, --connected and --jobs need --exhaustive"
-            )
+            raise ValueError("--min-deg, --max-edges, --connected and --jobs need --n")
         report = verify_theorem(args.which, k, _input_graphs(args.input, failed))
     if args.quiet:
         print("PASS" if report.passed else "FAIL")

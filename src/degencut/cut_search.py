@@ -152,11 +152,11 @@ def exists_min_degenerate_cut(g: Graph, k: int) -> bool:
     the question. |S| >= kappa always, so either kappa <= k+1 -- then minimum
     cuts exist (the graph is not complete) and each has at most k+1 vertices,
     hence is k-degenerate -- or kappa = k+2 = |S| and S itself is a minimum
-    k-degenerate cut. `_small_degenerate_cut` finds such cuts; otherwise
-    `find_min_degenerate_cut` decides. On valid input (k >= 2, not complete)
-    a disconnected graph answers True: its minimum cut is the empty set."""
+    k-degenerate cut. `_small_degenerate_cut` finds such cuts; otherwise the
+    minimum cuts are peeled as in `find_min_degenerate_cut`, with no
+    certificate. On valid input (k >= 2, not complete) a disconnected graph
+    answers True: its minimum cut is the empty set."""
     _check_min_cut_input(g, k)
-    return (
-        _small_degenerate_cut(g, k) is not None
-        or find_min_degenerate_cut(g, k) is not None
+    return _small_degenerate_cut(g, k) is not None or any(
+        not core_mask(g.rows, cut, k) for cut in minimum_cut_sets(g)
     )

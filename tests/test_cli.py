@@ -146,13 +146,13 @@ def test_construct_join(capsys):
 
 
 def test_verify_quiet_pass(capsys):
-    rc = main(["verify", "thm2", "--n", "5", "--exhaustive", "--quiet"])
+    rc = main(["verify", "thm2", "--n", "5", "--quiet"])
     assert rc == 0
     assert capsys.readouterr().out.strip() == "PASS"
 
 
 def test_verify_report_json(capsys):
-    rc = main(["verify", "thm2", "--n", "5", "--exhaustive"])
+    rc = main(["verify", "thm2", "--n", "5"])
     assert rc == 0
     got = json.loads(capsys.readouterr().out)
     assert got["theorem"] == "thm2"
@@ -179,11 +179,11 @@ def test_verify_counterexample_exits_2(tmp_path, capsys):
 def test_edge_cap_above_the_complete_graph_caps_nothing(capsys):
     assert main(["enumerate", "--n", "4", "--max-edges", "20"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 64
-    assert main(["verify", "thm2", "--n", "5", "--exhaustive", "--max-edges", "11"]) == 0
+    assert main(["verify", "thm2", "--n", "5", "--max-edges", "11"]) == 0
     assert json.loads(capsys.readouterr().out)["scanned"] == 1024
     for argv in (
         ["enumerate", "--n", "4", "--max-edges", "-1"],
-        ["verify", "thm2", "--n", "5", "--exhaustive", "--max-edges", "-1"],
+        ["verify", "thm2", "--n", "5", "--max-edges", "-1"],
     ):
         assert main(argv) == 1
         captured = capsys.readouterr()
@@ -195,19 +195,27 @@ def test_edge_cap_above_the_complete_graph_caps_nothing(capsys):
 
 
 def test_verify_requires_k_for_thm1(capsys):
-    rc = main(["verify", "thm1", "--n", "4", "--exhaustive"])
+    rc = main(["verify", "thm1", "--n", "4"])
     assert rc == 1
     assert "degencut: error: --k is required for thm1" in capsys.readouterr().err
 
 
-def test_verify_source_conflict(capsys):
-    rc = main(["verify", "thm2", "--n", "5", "--exhaustive", "--input", "graphs.g6"])
-    assert rc == 1
-    assert "exactly one" in capsys.readouterr().err
+def test_verify_source_conflict(tmp_path, capsys):
+    path = write_graphs(tmp_path, complete(5))
+    for argv, first in (
+        (["--n", "5", "--input", path], "--n"),
+        (["--input", path, "--n", "7"], "--input"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "thm2", *argv])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not allowed with argument " + first in captured.err
 
 
 def test_verify_has_no_random_sample_source(capsys):
-    for argv in (["--n", "5", "--sample", "3"], ["--n", "5", "--exhaustive", "--seed", "0"]):
+    for argv in (["--n", "5", "--sample", "3"], ["--n", "5", "--seed", "0"]):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "thm2", *argv])
         assert exc.value.code == 1
@@ -216,33 +224,46 @@ def test_verify_has_no_random_sample_source(capsys):
         assert f"error: unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
 
 
+def test_verify_has_no_exhaustive_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "thm2", "--n", "5", "--exhaustive"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: unrecognized arguments: --exhaustive" in captured.err
+
+
 def test_verify_needs_a_source(capsys):
-    rc = main(["verify", "thm2"])
-    assert rc == 1
-    assert "degencut: error:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "thm2"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: one of the arguments --n --input is required" in captured.err
 
 
 def test_verify_thm2_rejects_other_k(capsys):
-    rc = main(["verify", "thm2", "--k", "3", "--n", "5", "--exhaustive"])
+    rc = main(["verify", "thm2", "--k", "3", "--n", "5"])
     assert rc == 1
     assert "thm2 is specific to k=2" in capsys.readouterr().err
 
 
-def test_verify_refuses_negative_order_and_sample(tmp_path, capsys):
-    path = write_graphs(tmp_path, complete(5))
-    for flags, message in (
-        (["--n", "-1", "--exhaustive"], "--n must be nonnegative"),
-        (["--input", path, "--n", "-1"], "--n must be nonnegative"),
+def test_verify_and_enumerate_refuse_negative_order(capsys):
+    # the enumeration refuses the order before any worker starts
+    for argv in (
+        ["verify", "thm2", "--n", "-1"],
+        ["verify", "thm2", "--n", "-1", "--jobs", "2"],
+        ["enumerate", "--n", "-1"],
     ):
-        assert main(["verify", "thm2", *flags]) == 1
+        assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"degencut: error: {message}")
+        assert captured.err == "degencut: error: vertex count must be nonnegative\n"
 
 
-def test_verify_refuses_enumeration_filters_without_exhaustive(tmp_path, capsys):
+def test_verify_refuses_enumeration_filters_without_n(tmp_path, capsys):
     path = write_graphs(tmp_path, complete(5))
-    unread = "--min-deg, --max-edges, --connected and --jobs need --exhaustive"
+    unread = "--min-deg, --max-edges, --connected and --jobs need --n"
     cases = [
         (["--input", path, *flags], unread)
         for flags in (
@@ -252,8 +273,7 @@ def test_verify_refuses_enumeration_filters_without_exhaustive(tmp_path, capsys)
             ["--jobs", "2"],
         )
     ] + [
-        (["--input", path, "--n", "7"], "--n does not apply to --input"),
-        (["--n", "5", "--exhaustive", "--jobs", "0"], "--jobs must be at least 1"),
+        (["--n", "5", "--jobs", "0"], "--jobs must be at least 1"),
         (["--input", path, "--jobs", "-3"], "--jobs must be at least 1"),
     ]
     for argv, message in cases:
@@ -261,7 +281,7 @@ def test_verify_refuses_enumeration_filters_without_exhaustive(tmp_path, capsys)
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"degencut: error: {message}")
-    assert main(["verify", "thm2", "--n", "5", "--exhaustive", "--jobs", "1", "--quiet"]) == 0
+    assert main(["verify", "thm2", "--n", "5", "--jobs", "1", "--quiet"]) == 0
     assert capsys.readouterr().out == "PASS\n"
 
 
@@ -275,7 +295,7 @@ def test_enumerate_refuses_jobs_below_one(capsys):
 
 def test_verify_unknown_target_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "thm9", "--n", "5", "--exhaustive"])
+        main(["verify", "thm9", "--n", "5"])
     assert exc.value.code == 1
 
 
@@ -418,7 +438,7 @@ def test_console_script_maps_to_main():
 
 
 def test_verify_jobs_do_not_change_the_report():
-    base = ["verify", "thm2", "--n", "5", "--exhaustive"]
+    base = ["verify", "thm2", "--n", "5"]
     a = run_cli(*base, "--jobs", "1")
     b = run_cli(*base, "--jobs", "2")
     assert a.returncode == b.returncode == 0

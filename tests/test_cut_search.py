@@ -19,6 +19,7 @@ from degencut import (
     has_degenerate_cut,
     induced_subgraph,
     join_extremal,
+    parse_graph6,
     path,
     random_graph,
     ring_of_cliques,
@@ -147,6 +148,19 @@ def test_exists_shortcut_agrees_with_exhaustive_search():
             assert exists_min_degenerate_cut(g, k) == (
                 find_min_degenerate_cut(g, k) is not None
             )
+
+
+def test_exists_builds_no_certificate(monkeypatch):
+    # kappa = 4 with two minimum cuts and no neighbourhood shortcut, so the
+    # answer comes from peeling the minimum cuts, with no certificate built
+    g = parse_graph6("GK~vno")
+    assert _small_degenerate_cut(g, 2) is None
+
+    def refuse(*args):
+        raise AssertionError("certify_cut called")
+
+    monkeypatch.setattr("degencut.cut_search.certify_cut", refuse)
+    assert exists_min_degenerate_cut(g, 2)
 
 
 def test_find_agrees_with_brute_force_existence():
