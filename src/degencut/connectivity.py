@@ -64,8 +64,6 @@ def is_cut(g: Graph, s: Iterable[int] | int) -> bool:
     region = g.full_mask & ~s_mask
     if region == 0:
         raise ValueError("cut candidate must be a proper subset of the vertices")
-    if region & (region - 1) == 0:
-        return False  # one survivor can never be disconnected
     seed = region & -region
     return component_mask(g.rows, seed, region) != region
 
@@ -78,9 +76,6 @@ class CutCertificate:
     independent: bool
     forest: bool
     bipartite: bool
-
-    def is_k_degenerate(self, k: int) -> bool:
-        return self.cut_degeneracy <= k
 
     def to_json_dict(self) -> dict:
         return {
@@ -220,7 +215,7 @@ def _eh_pairs(g: Graph) -> Iterator[tuple[int, int]]:
     those two are non-adjacent.
     """
     rows = g.rows
-    v0 = min(range(g.n), key=lambda v: (rows[v].bit_count(), v))
+    v0 = min(range(g.n), key=lambda v: rows[v].bit_count())
     for w in bits(g.full_mask & ~rows[v0] & ~(1 << v0)):
         yield v0, w
     for x, y in combinations(bits(rows[v0]), 2):

@@ -66,12 +66,17 @@ def _small_degenerate_cut(g: Graph, k: int) -> int | None:
     N(v0), v0 of minimum degree (lowest index on ties), if deg(v0) <= k+1 and
     N[v0] != V, the only case with <= k+1 vertices; else, if n >= k+4, N(u) for
     a degree-(k+2) u whose neighbours are not a clique. Graphs on <= k+1
-    vertices, and on k+2 vertices other than K_{k+2}, are k-degenerate."""
+    vertices, and on k+2 vertices other than K_{k+2}, are k-degenerate.
+
+    The second case needs the minimum degree d to be k+2: it is reached only
+    when d >= k+2, or when N[v0] = V, and then n = d+1 <= k+2 fails n >= k+4.
+    So with d >= k+2, a degree-(k+2) vertex exists only if d = k+2."""
     rows = g.rows
     nbr = min(rows, key=int.bit_count)
-    if nbr.bit_count() <= k + 1 and is_cut(g, nbr):
+    d = nbr.bit_count()
+    if d <= k + 1 and is_cut(g, nbr):
         return nbr
-    if g.n >= k + 4:
+    if d == k + 2 and g.n >= k + 4:
         for nbr in rows:
             if nbr.bit_count() == k + 2:
                 rest = nbr

@@ -93,20 +93,16 @@ class VerificationReport:
         return asdict(self)
 
 
-def _no_degenerate_cut(g: Graph, k: int) -> bool:
-    return g.n >= k + 2 and not has_degenerate_cut(g, k)
-
-
 def evaluate(which: str, k: int, g: Graph) -> tuple[bool, str | None]:
     """(hypothesis satisfied, violation reason or None). Cheap filters first."""
     n, m = g.n, g.m
     if which == "thm1":
-        if n < 2 * k + 2 or not _no_degenerate_cut(g, k):
+        if n < 2 * k + 2 or has_degenerate_cut(g, k):
             return False, None
         ok = bound_thm1(k, n, m)
         return True, None if ok else f"2m={2 * m} below the thm1 bound at n={n}"
     if which == "thm2":
-        if n < 5 or not _no_degenerate_cut(g, 2):
+        if n < 5 or has_degenerate_cut(g, 2):
             return False, None
         ok = bound_thm2(n, m)
         return True, None if ok else f"10m={10 * m} < 27n-35={27 * n - 35}"
@@ -116,7 +112,7 @@ def evaluate(which: str, k: int, g: Graph) -> tuple[bool, str | None]:
         ok = exists_min_degenerate_cut(g, k)
         return True, None if ok else f"no minimum {k}-degenerate cut"
     if which == "mindeg":
-        if not _no_degenerate_cut(g, k):
+        if n < k + 2 or has_degenerate_cut(g, k):
             return False, None
         ok = check_min_degree(g, k)
         return True, None if ok else f"minimum degree {g.min_degree()} < k+2={k + 2}"
@@ -141,7 +137,7 @@ def verify_theorem(which: str, k: int, graphs) -> VerificationReport:
     _validate_which_k(which, k)
     t0 = time.perf_counter()
     report = VerificationReport(theorem=which, k=k)
-    seen: set[str] = set()
+    found: dict[str, str] = {}
     for g in graphs:
         report.scanned += 1
         hyp, reason = evaluate(which, k, g)
@@ -150,12 +146,8 @@ def verify_theorem(which: str, k: int, graphs) -> VerificationReport:
         report.hypothesis_hits += 1
         if reason is None:
             continue
-        key = to_graph6(canonical_graph(g))
-        if key in seen:
-            continue
-        seen.add(key)
-        report.violations.append(Violation(key, reason))
-    report.violations.sort(key=lambda v: (v.graph6, v.reason))
+        found.setdefault(to_graph6(canonical_graph(g)), reason)
+    report.violations = [Violation(s, r) for s, r in sorted(found.items())]
     report.seconds = time.perf_counter() - t0
     return report
 

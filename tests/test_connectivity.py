@@ -99,15 +99,15 @@ def test_certificate_flags_independent_forest_bipartite():
     assert c.components == ((1, 2), (4, 5))
     assert c.cut_degeneracy == 0
     assert c.independent and c.forest and c.bipartite
-    assert c.is_k_degenerate(0)
+    assert c.cut_degeneracy <= 0
 
     # cut inducing a triangle: none of the flags hold
     g = join(complete(3), empty_graph(2))
     c = certify_cut(g, [0, 1, 2])
     assert c.cut_degeneracy == 2
     assert not c.independent and not c.forest and not c.bipartite
-    assert not c.is_k_degenerate(1)
-    assert c.is_k_degenerate(2)
+    assert c.cut_degeneracy > 1
+    assert c.cut_degeneracy <= 2
 
     # cut inducing a single edge: a forest but not independent
     g = join(complete(2), empty_graph(2))

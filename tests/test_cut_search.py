@@ -26,7 +26,7 @@ from degencut import (
     RingSpec,
 )
 from degencut.cut_search import _small_degenerate_cut, minimal_separators
-from degencut.graph import bits, petersen
+from degencut.graph import bits, mask_of, petersen
 from oracles import (
     brute_first_degenerate_cut,
     brute_has_degenerate_cut,
@@ -176,10 +176,28 @@ def test_find_agrees_with_brute_force_existence():
             assert (cert.cut if cert else None) == brute_first_degenerate_cut(g, k)
 
 
+def _neighbourhood_rule(g, k):
+    """The shortcut's documented rule, restated from degrees and neighbour
+    lists: N(u) for the lowest-index minimum-degree u when deg(u) <= k+1 and
+    N[u] != V; else, when n >= k+4, N(w) for the lowest w of degree k+2 whose
+    neighbourhood is not a clique; else None."""
+    u = min(range(g.n), key=g.degree)
+    if g.degree(u) <= k + 1 and g.degree(u) < g.n - 1:
+        return mask_of(g.neighbors(u))
+    if g.n >= k + 4:
+        for w in range(g.n):
+            nbrs = g.neighbors(w)
+            if len(nbrs) == k + 2 and not all(
+                g.has_edge(a, b) for a, b in combinations(nbrs, 2)
+            ):
+                return mask_of(nbrs)
+    return None
+
+
 def test_neighbourhood_shortcut_returns_degenerate_cuts():
-    # whatever mask the shortcut returns must be a cut inducing a k-degenerate
-    # graph, as judged by the oracles: every labeled graph on 6 vertices and
-    # a seeded sample on 8
+    # the shortcut follows its documented rule, and whatever mask it returns
+    # must be a cut inducing a k-degenerate graph, as judged by the oracles:
+    # every labeled graph on 6 vertices and a seeded sample on 8
     rng = random.Random(47)
     graphs = list(enumerate_labeled(EnumerationSpec(6)))
     graphs += [random_graph(8, rng, rng.choice((0.3, 0.5, 0.7, 0.85))) for _ in range(2000)]
@@ -187,6 +205,7 @@ def test_neighbourhood_shortcut_returns_degenerate_cuts():
     for g in graphs:
         for k in range(4):
             cut = _small_degenerate_cut(g, k)
+            assert cut == _neighbourhood_rule(g, k), (g.rows, k)
             if cut is None:
                 continue
             assert ref_is_cut(g, cut), (g.rows, k)

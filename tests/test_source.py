@@ -1,9 +1,10 @@
 """Source-level rules for the package: `python -O` strips `assert`
 statements, so no correctness check in src/degencut may be one; no
 private module-level helper may outlive its last caller; no module imports
-another module's private name; the package's `__all__` names exactly what
-its `__init__` imports; every module is reached from the CLI; and no
-module does work at import time beyond defining its names."""
+another module's private name; no module keeps an import it does not use;
+the package's `__all__` names exactly what its `__init__` imports; every
+module is reached from the CLI; and no module does work at import time
+beyond defining its names."""
 
 import ast
 import re
@@ -51,6 +52,27 @@ def test_no_module_imports_a_private_name_from_another():
         if alias.name.startswith("_")
     ]
     assert crossing == []
+
+
+def test_every_imported_name_is_used():
+    # a deletion must take its imports with it; `__init__` imports only to
+    # re-export, and `from __future__` names switch on language features
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.name}:{node.lineno}:{name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+            for name in [alias.asname or alias.name.split(".")[0]]
+            if name not in used
+        ]
+    assert unused == []
 
 
 def test_all_lists_exactly_the_imported_names():

@@ -91,6 +91,8 @@ def test_hyp_thm3_examples():
     assert hyp_thm3(k, g.n, g.m - 1)
     assert hyp_thm3(2, 8, 20)  # 40 <= 41
     assert not hyp_thm3(2, 8, 21)
+    with pytest.raises(ValueError):
+        hyp_thm3(1, 8, 10)  # thm3 needs k >= 2
 
 
 def test_check_min_degree():
@@ -116,6 +118,10 @@ def test_evaluate_small_n_short_circuits():
     assert not hyp and reason is None
     hyp, reason = evaluate("thm2", 2, complete(4))  # n < 5
     assert not hyp and reason is None
+    assert evaluate("mindeg", 3, complete(4)) == (False, None)  # n < k+2
+    assert evaluate("thm3", 2, cycle(7)) == (False, None)  # n < k+6
+    with pytest.raises(ValueError):
+        evaluate("thm9", 2, complete(4))
 
 
 def test_evaluate_mindeg_counterexample():
