@@ -21,12 +21,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from degencut import (
-    RingSpec,
-    find_min_degenerate_cut,
     has_degenerate_cut,
     join_extremal,
     minimum_cuts,
-    random_ring_spec,
     ring_of_cliques,
     to_graph6,
     vertex_connectivity,
@@ -34,8 +31,7 @@ from degencut import (
 
 
 def ring_line(k: int, s: int, seed: int | None) -> dict:
-    spec = RingSpec(k, s) if seed is None else random_ring_spec(k, s, seed)
-    g = ring_of_cliques(spec)
+    g = ring_of_cliques(k, s, seed)
     cuts = minimum_cuts(g)
     return {
         "family": "ring",
@@ -45,9 +41,9 @@ def ring_line(k: int, s: int, seed: int | None) -> dict:
         "n": g.n,
         "m": g.m,
         "edges_over_threshold": (2 * g.m - (k + 3) * g.n - (k - 1)) // 2,
-        "kappa": vertex_connectivity(g),
+        "kappa": len(cuts[0].cut),
         "minimum_cuts": len(cuts),
-        "min_cut_is_degenerate": find_min_degenerate_cut(g, k) is not None,
+        "min_cut_is_degenerate": any(c.cut_degeneracy <= k for c in cuts),
         "graph6": to_graph6(g),
     }
 

@@ -17,12 +17,7 @@ from .connectivity import (
     minimum_cuts,
     vertex_connectivity,
 )
-from .constructions import (
-    RingSpec,
-    join_extremal,
-    random_ring_spec,
-    ring_of_cliques,
-)
+from .constructions import join_extremal, ring_of_cliques
 from .cut_search import (
     exists_min_degenerate_cut,
     find_degenerate_cut,
@@ -71,7 +66,6 @@ __all__ = [
     "EnumerationSpec",
     "Graph",
     "Graph6Error",
-    "RingSpec",
     "VerificationReport",
     "Violation",
     "bound_thm1",
@@ -105,7 +99,6 @@ __all__ = [
     "parse_graph6",
     "path",
     "random_graph",
-    "random_ring_spec",
     "ring_of_cliques",
     "to_graph6",
     "verify_theorem",

@@ -34,7 +34,7 @@ import sys
 from typing import Callable, Iterator
 
 from .connectivity import minimum_cuts, vertex_connectivity
-from .constructions import RingSpec, join_extremal, random_ring_spec, ring_of_cliques
+from .constructions import join_extremal, ring_of_cliques
 from .cut_search import find_degenerate_cut, find_min_degenerate_cut
 from .degeneracy import degeneracy
 from .enumeration import EnumerationSpec, enumerate_labeled, map_prefixes
@@ -198,11 +198,7 @@ def _cmd_min_cuts(args: argparse.Namespace) -> int:
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     if args.family == "ring":
-        if args.perm_seed is None:
-            spec = RingSpec(args.k, args.s)
-        else:
-            spec = random_ring_spec(args.k, args.s, args.perm_seed)
-        g = ring_of_cliques(spec)
+        g = ring_of_cliques(args.k, args.s, args.perm_seed)
     else:
         g = join_extremal(args.k, args.n)
     print(to_graph6(g))

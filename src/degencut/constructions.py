@@ -1,8 +1,10 @@
 """Extremal families: clique rings with an apex, and joins over independent sets.
 
-ring_of_cliques(k, s): s disjoint copies of K_{k+2} arranged in a cycle, a
-perfect matching between consecutive cliques (one permutation of {0..k+1} per
-interface), plus an apex vertex joined to every vertex of clique 0. The first
+ring_of_cliques(k, s, seed): s disjoint copies of K_{k+2} arranged in a cycle,
+a perfect matching between consecutive cliques, plus an apex vertex joined to
+every vertex of clique 0. The matching from clique i to clique i+1 sends vertex
+j to vertex perm_i[j]; perm_i is the identity when seed is None, and otherwise
+the i-th shuffle of {0..k+1} drawn from one random.Random(seed). The first
 k+2 vertex labels are clique 0 and the apex is the last label. Its only
 minimum cut is clique 0, which induces a complete graph, so no minimum cut is
 k-degenerate, while its edge count exceeds (k+3)/2 * n + (k-1)/2 by exactly 1.
@@ -15,51 +17,18 @@ k-degenerate.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .graph import Graph, complete, empty_graph, from_edges, join
 
 
-@dataclass(frozen=True)
-class RingSpec:
-    k: int
-    s: int
-    matchings: tuple[tuple[int, ...], ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.k < 2:
-            raise ValueError(f"k must be at least 2, got {self.k}")
-        if self.s < 3:
-            raise ValueError(f"need at least 3 cliques, got {self.s}")
-        if self.matchings is not None:
-            if len(self.matchings) != self.s:
-                raise ValueError(
-                    f"need one matching per interface: {self.s}, got {len(self.matchings)}"
-                )
-            for perm in self.matchings:
-                if sorted(perm) != list(range(self.k + 2)):
-                    raise ValueError(f"{perm!r} is not a permutation of 0..{self.k + 1}")
-
-    def interface(self, i: int) -> tuple[int, ...]:
-        if self.matchings is None:
-            return tuple(range(self.k + 2))
-        return self.matchings[i]
-
-
-def random_ring_spec(k: int, s: int, seed: int) -> RingSpec:
-    rng = random.Random(seed)
-    perms = []
-    for _ in range(s):
-        p = list(range(k + 2))
-        rng.shuffle(p)
-        perms.append(tuple(p))
-    return RingSpec(k, s, tuple(perms))
-
-
-def ring_of_cliques(spec: RingSpec) -> Graph:
-    k, s = spec.k, spec.s
+def ring_of_cliques(k: int, s: int, seed: int | None = None) -> Graph:
+    if k < 2:
+        raise ValueError(f"k must be at least 2, got {k}")
+    if s < 3:
+        raise ValueError(f"need at least 3 cliques, got {s}")
     size = k + 2
     apex = size * s
+    rng = None if seed is None else random.Random(seed)
     edges: list[tuple[int, int]] = []
     for i in range(s):
         base = i * size
@@ -69,7 +38,9 @@ def ring_of_cliques(spec: RingSpec) -> Graph:
     for i in range(s):
         base = i * size
         nxt = ((i + 1) % s) * size
-        perm = spec.interface(i)
+        perm = list(range(size))
+        if rng is not None:
+            rng.shuffle(perm)
         for j in range(size):
             edges.append((base + j, nxt + perm[j]))
     for j in range(size):

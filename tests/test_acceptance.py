@@ -27,13 +27,12 @@ from degencut import (
     minimum_cuts,
     parse_graph6,
     random_graph,
-    random_ring_spec,
     ring_of_cliques,
     to_graph6,
     verify_theorem,
     verify_theorem_exhaustive,
 )
-from degencut import RingSpec, vertex_connectivity
+from degencut import vertex_connectivity
 from degencut.degeneracy import max_k_core
 from degencut.graph import petersen
 from degencut.verify import evaluate
@@ -81,9 +80,8 @@ def thm2_pruned_scans():
 def ring_family():
     for k in (2, 3, 4):
         for s in (3, 4, 5):
-            yield k, s, ring_of_cliques(RingSpec(k, s))
-            for seed in range(5):
-                yield k, s, ring_of_cliques(random_ring_spec(k, s, seed))
+            for seed in (None, *range(5)):
+                yield k, s, ring_of_cliques(k, s, seed)
 
 
 def join_family():

@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 from degencut import (
-    RingSpec,
     complete,
     cycle,
     parse_graph6,
@@ -126,16 +125,23 @@ def test_min_cuts_square(tmp_path, capsys):
 
 def test_construct_ring_round_trips(capsys):
     assert main(["construct", "ring", "--k", "2", "--s", "3"]) == 0
-    g = parse_graph6(capsys.readouterr().out.strip())
-    assert g == ring_of_cliques(RingSpec(2, 3))
+    out = capsys.readouterr().out
+    # pinned: a change to the wiring changes this line
+    assert out == "L~`HW}GPHDaN{?\n"
+    g = parse_graph6(out.strip())
+    assert g == ring_of_cliques(2, 3)
     assert (g.n, g.m) == (13, 34)
 
 
 def test_construct_ring_seeded(capsys):
     assert main(["construct", "ring", "--k", "3", "--s", "4", "--perm-seed", "7"]) == 0
-    a = capsys.readouterr().out.strip()
+    a = capsys.readouterr().out
+    # pinned: a change to the wiring or to the order of the seeded draws
+    # changes this line
+    assert a == "T~|?g[f`w?_H@B?b_Dy?CG?U?CWOOw_@~w??\n"
+    assert parse_graph6(a.strip()) == ring_of_cliques(3, 4, 7)
     assert main(["construct", "ring", "--k", "3", "--s", "4", "--perm-seed", "7"]) == 0
-    assert capsys.readouterr().out.strip() == a
+    assert capsys.readouterr().out == a
 
 
 def test_construct_join(capsys):

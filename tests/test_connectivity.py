@@ -20,7 +20,6 @@ from degencut import (
     parse_graph6,
     path,
     random_graph,
-    random_ring_spec,
     ring_of_cliques,
     vertex_connectivity,
 )
@@ -250,7 +249,7 @@ def test_flow_layer_matches_networkx_on_larger_graphs():
 
 def test_ring_minimum_cuts_match_networkx():
     for k, s in ((2, 3), (2, 8), (2, 12), (3, 5), (3, 12)):
-        g = ring_of_cliques(random_ring_spec(k, s, seed=s))
+        g = ring_of_cliques(k, s, seed=s)
         nx, h = _nx(g)
         assert vertex_connectivity(g) == nx.node_connectivity(h) == k + 2
         cuts = [c.cut for c in minimum_cuts(g)]

@@ -3,12 +3,10 @@ import random
 import pytest
 
 from degencut import (
-    RingSpec,
     complete,
     empty_graph,
     join,
     join_extremal,
-    random_ring_spec,
     ring_of_cliques,
 )
 
@@ -27,7 +25,7 @@ def join_size(k, n):
 
 
 def test_ring_identity_matchings_shape():
-    g = ring_of_cliques(RingSpec(2, 3))
+    g = ring_of_cliques(2, 3)
     assert g.n == ring_order(2, 3) == 13
     assert g.m == ring_size(2, 3) == 34
     # apex is the last vertex and sees exactly clique 0
@@ -37,19 +35,28 @@ def test_ring_identity_matchings_shape():
         assert g.has_edge(j, 4 + j)
 
 
-def test_ring_respects_explicit_matchings():
-    spec = RingSpec(2, 3, ((1, 0, 3, 2), (0, 1, 2, 3), (2, 3, 0, 1)))
-    g = ring_of_cliques(spec)
-    assert g.has_edge(0, 4 + 1) and g.has_edge(1, 4 + 0)
-    assert g.has_edge(4, 8 + 0) and g.has_edge(7, 8 + 3)
-    # interface 2 wraps around: clique 2 vertex j to clique 0 vertex perm[j]
-    assert g.has_edge(8 + 0, 2) and g.has_edge(8 + 2, 0)
-    assert g.m == ring_size(2, 3)
+def test_ring_seeded_matchings_follow_one_rng():
+    # interface i's matching is the i-th shuffle of one random.Random(seed);
+    # the last interface wraps around from clique s-1 to clique 0
+    for k, s, seed in ((2, 3, 0), (3, 4, 7), (4, 5, 123)):
+        size = k + 2
+        rng = random.Random(seed)
+        perms = []
+        for _ in range(s):
+            perm = list(range(size))
+            rng.shuffle(perm)
+            perms.append(perm)
+        g = ring_of_cliques(k, s, seed)
+        assert g.m == ring_size(k, s)
+        for i, perm in enumerate(perms):
+            base, nxt = i * size, (i + 1) % s * size
+            for j in range(size):
+                assert g.has_edge(base + j, nxt + perm[j]), (k, s, seed, i, j)
 
 
 def test_ring_degree_profile():
     for k, s in ((2, 3), (3, 4), (4, 5)):
-        g = ring_of_cliques(RingSpec(k, s))
+        g = ring_of_cliques(k, s)
         degs = sorted(g.degrees())
         apex = k + 2
         # apex has degree k+2; clique-0 vertices add the apex edge to k+3
@@ -60,26 +67,16 @@ def test_ring_degree_profile():
 
 
 def test_ring_spec_validation():
-    with pytest.raises(ValueError):
-        RingSpec(1, 3)
-    with pytest.raises(ValueError):
-        RingSpec(2, 2)
-    with pytest.raises(ValueError):
-        RingSpec(2, 3, ((0, 1, 2, 3),))  # one matching for three interfaces
-    with pytest.raises(ValueError):
-        RingSpec(2, 3, ((0, 1, 2, 2), (0, 1, 2, 3), (0, 1, 2, 3)))
-    with pytest.raises(ValueError):
-        RingSpec(2, 3, ((0, 1, 2), (0, 1, 2), (0, 1, 2)))
+    with pytest.raises(ValueError, match="k must be at least 2, got 1"):
+        ring_of_cliques(1, 3)
+    with pytest.raises(ValueError, match="need at least 3 cliques, got 2"):
+        ring_of_cliques(2, 2)
 
 
-def test_random_ring_spec_is_seed_deterministic():
-    a = random_ring_spec(3, 4, seed=9)
-    b = random_ring_spec(3, 4, seed=9)
-    c = random_ring_spec(3, 4, seed=10)
-    assert a == b
-    assert ring_of_cliques(a) == ring_of_cliques(b)
-    assert all(sorted(p) == list(range(5)) for p in a.matchings)
-    assert a != c
+def test_ring_is_seed_deterministic():
+    a = ring_of_cliques(3, 4, seed=9)
+    assert a == ring_of_cliques(3, 4, seed=9)
+    assert a != ring_of_cliques(3, 4, seed=10)
 
 
 def test_join_extremal_shape():

@@ -23,7 +23,6 @@ from degencut import (
     path,
     random_graph,
     ring_of_cliques,
-    RingSpec,
 )
 from degencut.cut_search import _small_degenerate_cut, minimal_separators
 from degencut.graph import bits, mask_of, petersen
@@ -128,7 +127,7 @@ def test_find_min_degenerate_cut_on_a_clique_chain():
 
 
 def test_ring_minimum_cuts_are_never_low_degeneracy():
-    ring = ring_of_cliques(RingSpec(2, 3))
+    ring = ring_of_cliques(2, 3)
     assert find_degenerate_cut(ring, 1) is None  # no minimal separator is a forest
     assert find_min_degenerate_cut(ring, 2) is None
     assert not exists_min_degenerate_cut(ring, 2)

@@ -12,7 +12,6 @@ import pytest
 from degencut import (
     EnumerationSpec,
     Graph,
-    RingSpec,
     canonical_form,
     canonical_graph,
     complete,
@@ -283,7 +282,7 @@ def test_canonical_form_is_invariant_past_eight_vertices():
         [(0, 2), (1, 2), (1, 3), (4, 5), (4, 7), (5, 6), (6, 7)]
         + [(8, 10), (8, 11), (10, 11)],
     )
-    graphs = [complete(12), cycle(30), petersen(), ring_of_cliques(RingSpec(3, 4)), mixed]
+    graphs = [complete(12), cycle(30), petersen(), ring_of_cliques(3, 4), mixed]
     graphs += [random_graph(rng.randint(9, 30), rng, rng.random()) for _ in range(40)]
     for g in graphs:
         form = canonical_form(g)

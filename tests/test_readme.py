@@ -1,8 +1,12 @@
-"""The CLI examples in README.md run as written. Each `degencut ...` line of
-the sh block under "## CLI" that reads no --input file goes through
-`python -m degencut`; an `echo "X" |` prefix becomes stdin. Each must exit 0,
-and a following `# {...}` comment with no "..." must equal the output."""
+"""The CLI and Library examples in README.md run as written. Each
+`degencut ...` line of the sh block under "## CLI" that reads no --input file
+goes through `python -m degencut`; an `echo "X" |` prefix becomes stdin. Each
+must exit 0, and a following `# {...}` comment with no "..." must equal the
+output. The python block under "## Library" runs statement by statement, and
+each bare expression with a trailing `# value` comment must have a repr equal
+to the comment's text before its first ":"."""
 
+import ast
 import json
 import re
 import shlex
@@ -13,11 +17,14 @@ from pathlib import Path
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def block_under(heading: str, fence: str) -> str:
+    section = README.read_text().split(f"\n## {heading}\n", 1)[1]
+    return section.split(f"```{fence}\n", 1)[1].split("```", 1)[0]
+
+
 def cli_examples() -> list[tuple[str, str | None, str | None]]:
     """(command, stdin, expected JSON or None) per runnable example line."""
-    text = README.read_text()
-    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    lines = block.splitlines() + [""]
+    lines = block_under("CLI", "sh").splitlines() + [""]
     examples = []
     for line, after in zip(lines, lines[1:]):
         piped = re.fullmatch(r'echo "([^"]*)" \| (degencut .*)', line)
@@ -43,3 +50,22 @@ def test_readme_cli_examples_run():
         assert out.returncode == 0, (command, out.stderr)
         if expected is not None:
             assert json.loads(out.stdout) == json.loads(expected), command
+
+
+def test_readme_library_example_runs():
+    block = block_under("Library", "python")
+    lines = block.splitlines()
+    namespace: dict = {}
+    checked = 0
+    for stmt in ast.parse(block).body:
+        if not isinstance(stmt, ast.Expr):
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+            continue
+        expr = compile(ast.Expression(stmt.value), "README.md", "eval")
+        value = eval(expr, namespace)
+        comment = lines[stmt.end_lineno - 1][stmt.end_col_offset :].strip()
+        if comment.startswith("#"):
+            expected = comment[1:].split(":", 1)[0].strip()
+            assert repr(value) == expected, lines[stmt.lineno - 1]
+            checked += 1
+    assert checked >= 4

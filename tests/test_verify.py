@@ -20,7 +20,6 @@ from degencut import (
     hyp_thm3,
     join_extremal,
     random_graph,
-    random_ring_spec,
     ring_of_cliques,
     to_graph6,
     verify_theorem,
@@ -83,8 +82,7 @@ def test_bound_thm2_examples():
 
 def test_hyp_thm3_examples():
     # ring construction exceeds the threshold by exactly one edge
-    spec = random_ring_spec(2, 3, 0)
-    g = ring_of_cliques(spec)
+    g = ring_of_cliques(2, 3, 0)
     k = 2
     assert 2 * g.m == (k + 3) * g.n + (k - 1) + 2
     assert not hyp_thm3(k, g.n, g.m)
@@ -101,7 +99,7 @@ def test_check_min_degree():
     assert not check_min_degree(complete(5), 3)
     assert check_min_degree(cycle(4), 0)
     assert not check_min_degree(cycle(4), 1)
-    assert check_min_degree(ring_of_cliques(random_ring_spec(2, 3, 0)), 2)
+    assert check_min_degree(ring_of_cliques(2, 3, 0), 2)
     assert check_min_degree(join_extremal(1, 6), 1)
 
 
@@ -177,7 +175,7 @@ def test_verify_thm2_only_hit_is_k5():
 
 
 def test_verify_thm3_vacuous_on_ring():
-    g = ring_of_cliques(random_ring_spec(2, 3, 0))
+    g = ring_of_cliques(2, 3, 0)
     report = verify_theorem("thm3", 2, [g])
     assert report.scanned == 1 and report.hypothesis_hits == 0
     assert report.passed
