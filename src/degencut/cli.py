@@ -28,6 +28,7 @@ before it reads any input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import string
 import sys
@@ -51,6 +52,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="degencut",

@@ -223,8 +223,29 @@ def _eh_pairs(g: Graph) -> Iterator[tuple[int, int]]:
             yield x, y
 
 
+def _pair_flows(g: Graph) -> Iterator[tuple[int, int, int, list[int]]]:
+    """(s, t, flow, residual network) per pair of `_eh_pairs`, for connected g.
+
+    Each flow is cut off at the one before, the first at the minimum degree,
+    and after each pair the edge s-t is added (Kanevsky 1993). So each flow
+    runs on a supergraph G' of G in which s, t are still non-adjacent: every
+    flow is at least kappa. A minimum cut S separates some pair; take the
+    first. Each edge added before it lies inside a component of G - S or
+    touches S, so S still separates that pair in G': its flow, and each later
+    one, is exactly kappa.
+    """
+    rows = list(g.rows)
+    flow = g.min_degree()
+    for s, t in _eh_pairs(g):
+        flow, res = _max_flow(rows, s, t, flow)
+        yield s, t, flow, res
+        rows[s] |= 1 << t
+        rows[t] |= 1 << s
+
+
 def vertex_connectivity(g: Graph) -> int:
-    """Exact kappa(g) for n >= 2. Flow-based; kappa(K_n) = n - 1."""
+    """Exact kappa(g) for n >= 2; kappa(K_n) = n - 1. The least flow of
+    `_pair_flows`, which argues why Kanevsky's added edges keep it kappa."""
     n = g.n
     if n < 2:
         raise ValueError("vertex connectivity needs at least 2 vertices")
@@ -232,10 +253,7 @@ def vertex_connectivity(g: Graph) -> int:
         return n - 1
     if not is_connected(g):
         return 0
-    best = g.min_degree()
-    for s, t in _eh_pairs(g):
-        best = min(best, _max_flow(g.rows, s, t, best)[0])
-    return best
+    return min(flow for _, _, flow, _ in _pair_flows(g))
 
 
 def _min_separators(res: list[int], s: int, t: int, kappa: int, out: list[int]) -> None:
@@ -300,31 +318,21 @@ def minimum_cut_sets(g: Graph) -> list[int]:
     """All vertex cuts of size kappa = vertex_connectivity(g), as bitmasks,
     lexicographic by sorted vertex tuple; a disconnected graph has one, 0.
 
-    One pass over `_eh_pairs` keeps the least pair flow `best` (each flow is
-    cut off at best, which starts at the minimum degree) and the separators of
-    size best, cleared whenever best drops. After each pair the edge s-t is
-    added (Kanevsky 1993), so each flow runs on a supergraph G' of G in which
-    s, t are still non-adjacent: every flow is at least kappa. A minimum cut S
-    separates some pair; take the first. Each edge added before it lies inside
-    a component of G - S or touches S, so S still separates that pair in G':
-    its flow is exactly kappa, best is kappa from that pair on, and S is
-    listed there. Every set left at the end has size kappa and separates s
-    from t in some G' that contains G, so it is a cut of G. A cut with three
-    or more components can separate a later pair as well, hence the set.
+    One pass over `_pair_flows` keeps the separators of the latest flow's size,
+    cleared when it drops; a minimum cut is listed at the first pair it
+    separates, whose flow is kappa. Every set left at the end has size kappa
+    and separates s from t in some G' that contains G, so it is a cut of G. A
+    cut with three or more components can separate a later pair too: a set.
     """
     if not is_connected(g):
         return [0]
-    rows = list(g.rows)
     best = g.min_degree()
     found: list[int] = []
-    for s, t in _eh_pairs(g):
-        flow, res = _max_flow(rows, s, t, best)
+    for s, t, flow, res in _pair_flows(g):
         if flow < best:
             best = flow
             found.clear()
         _min_separators(res, s, t, best, found)
-        rows[s] |= 1 << t
-        rows[t] |= 1 << s
     return sorted(set(found), key=lambda cut: tuple(bits(cut)))
 
 

@@ -82,14 +82,14 @@ def parse_graph6(text: str) -> Graph:
     pad = -nb % 6
     if pad and acc & ((1 << pad) - 1):
         raise Graph6Error("nonzero padding bits", offset=body_offset + want - 1)
-    acc >>= pad
+    # column v, the cells (0, v) .. (v-1, v), reads reversed as v's lower row
+    cells = format(acc >> pad, f"0{nb}b")
     rows = [0] * n
-    pos = nb
     for v in range(1, n):
-        for u in range(v):
-            pos -= 1
-            if acc >> pos & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
+        low = rows[v] = int(cells[v * (v - 1) // 2:v * (v + 1) // 2][::-1], 2)
+        while low:
+            bit = low & -low
+            rows[bit.bit_length() - 1] |= 1 << v
+            low ^= bit
     return Graph(n, tuple(rows))
 

@@ -19,7 +19,7 @@ from degencut import (
     ring_of_cliques,
     to_graph6,
 )
-from degencut.cli import main
+from degencut.cli import _build_parser, main
 from degencut.graph import petersen
 
 
@@ -316,6 +316,36 @@ def test_unknown_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 1
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
+    # main builds its parser once per process; a parser that kept state from
+    # an earlier call would change what a later one prints
+    path = write_graphs(tmp_path, cycle(5), petersen())
+    calls = [
+        ["find-cut"],
+        ["analyze", "--input", path],
+        ["construct", "ring", "--k", "2", "--s", "3"],
+        ["find-cut", "--minimum", "--k", "2", "--input", path],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    first = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        first.append(run(argv))
+    assert [code for code, _, _ in first] == [("exit", 1), 0, 0, 0]
+    assert "required: --k" in first[0][2] and all(out for _, out, _ in first[1:])
+    _build_parser.cache_clear()
+    assert [run(argv) for argv in calls] == first
+    assert _build_parser.cache_info().misses == 1
 
 
 def test_bad_graph6_input(tmp_path, capsys):

@@ -23,7 +23,7 @@ from degencut import (
     ring_of_cliques,
     vertex_connectivity,
 )
-from degencut.connectivity import check_minimum_cut
+from degencut.connectivity import check_minimum_cut, minimum_cut_sets
 from degencut.graph import petersen
 from oracles import brute_minimum_cuts, brute_vertex_connectivity
 
@@ -158,6 +158,20 @@ def test_kappa_matches_brute_force_on_random_graphs():
         assert vertex_connectivity(g) == brute_vertex_connectivity(g)
 
 
+def test_kappa_is_the_size_of_the_listed_minimum_cuts():
+    # kappa and the minimum cuts each make their own walk of the same pair
+    # flows; the cut list is checked against brute force elsewhere
+    rng = random.Random(0x4B)
+    checked = 0
+    while checked < 1000:
+        n = rng.randint(2, 40)
+        g = random_graph(n, rng, rng.uniform(2.0 / n, 0.9))
+        if g.is_complete() or not is_connected(g):
+            continue
+        checked += 1
+        assert vertex_connectivity(g) == minimum_cut_sets(g)[0].bit_count(), g.rows
+
+
 def test_minimum_cuts_of_c4():
     cuts = [c.cut for c in minimum_cuts(cycle(4))]
     assert cuts == [(0, 2), (1, 3)]
@@ -245,6 +259,32 @@ def test_flow_layer_matches_networkx_on_larger_graphs():
             continue
         want = {tuple(sorted(c)) for c in nx.all_node_cuts(h)}
         assert {c.cut for c in minimum_cuts(g)} == want
+
+
+def _planted_separator(rng, n):
+    """G(n, .3) whose 15-set A keeps only its edges inside A and to an 8-set S,
+    drawn at .9: S separates A from the rest, below the min degree."""
+    picked = rng.sample(range(n), 23)
+    a, near = set(picked[:15]), set(picked)
+    edges = []
+    for u, v in combinations(range(n), 2):
+        if u in a or v in a:
+            if u in near and v in near and rng.random() < 0.9:
+                edges.append((u, v))
+        elif rng.random() < 0.3:
+            edges.append((u, v))
+    return from_edges(n, edges)
+
+
+def test_kappa_matches_networkx_on_gnp_80_to_100():
+    # on plain G(n, .3) kappa is the min degree, which the cutoff alone gives
+    rng = random.Random(0x4C)
+    for n, planted in ((80, False), (90, True), (100, True)):
+        g = _planted_separator(rng, n) if planted else random_graph(n, rng, 0.3)
+        nx, h = _nx(g)
+        kappa = vertex_connectivity(g)
+        assert kappa == nx.node_connectivity(h)
+        assert (kappa < g.min_degree()) == planted
 
 
 def test_ring_minimum_cuts_match_networkx():

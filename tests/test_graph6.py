@@ -64,6 +64,19 @@ def test_round_trip_medium_sizes():
         assert parse_graph6(to_graph6(g)) == g
 
 
+def test_round_trip_long_form_at_random_densities():
+    # the column slices of the parser cross the short/long form boundary
+    # (62 | 63), a 64-bit word, and reach the largest order of a 3-byte count
+    # whose payload stays small (258)
+    rng = random.Random(23)
+    for n in (62, 63, 64, 200, 258):
+        for p in (0.0, rng.random(), rng.random(), 1.0):
+            g = random_graph(n, rng, p)
+            s = to_graph6(g)
+            assert parse_graph6(s) == g
+            assert to_graph6(parse_graph6(s)) == s
+
+
 @given(st.integers(min_value=0, max_value=30), st.randoms(use_true_random=False))
 def test_round_trip_small(n, pyrng):
     g = random_graph(n, pyrng, 0.5)
@@ -107,3 +120,25 @@ def test_nonzero_padding_rejected():
     with pytest.raises(Graph6Error):
         parse_graph6("A@")
 
+
+
+@pytest.mark.parametrize(
+    "line, message, offset",
+    [
+        ("", "empty graph6 line", 0),
+        ("A" + chr(200), "byte 200 outside graph6 range 63..126", 1),
+        ("~~" + "?" * 10, "vertex counts above 258047 are not supported", 1),
+        ("~?", "truncated vertex count", 2),
+        ("D~", "truncated payload: need 2 bytes for n=5, got 1", 2),
+        ("~??~", "truncated payload: need 326 bytes for n=63, got 0", 4),
+        ("C~~", "trailing bytes after payload", 2),
+        ("~??~" + "?" * 327, "trailing bytes after payload", 330),
+        ("A@", "nonzero padding bits", 1),
+        ("~??~" + "?" * 325 + "@", "nonzero padding bits", 329),
+    ],
+)
+def test_each_error_names_its_byte_offset(line, message, offset):
+    with pytest.raises(Graph6Error) as exc:
+        parse_graph6(line)
+    assert str(exc.value) == f"{message} (byte offset {offset})"
+    assert exc.value.offset == offset
