@@ -28,7 +28,6 @@ from .degeneracy import CoreCertificate, degeneracy, is_k_degenerate, max_k_core
 from .enumeration import (
     EnumerationSpec,
     canonical_form,
-    canonical_graph,
     enumerate_labeled,
 )
 from .graph import (
@@ -51,7 +50,6 @@ from .verify import (
     Violation,
     bound_thm1,
     bound_thm2,
-    check_min_degree,
     hyp_thm3,
     verify_theorem,
     verify_theorem_exhaustive,
@@ -71,9 +69,7 @@ __all__ = [
     "bound_thm1",
     "bound_thm2",
     "canonical_form",
-    "canonical_graph",
     "certify_cut",
-    "check_min_degree",
     "complement",
     "complete",
     "complete_bipartite",

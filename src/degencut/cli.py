@@ -61,18 +61,22 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="summarize order, size, degeneracy, kappa")
+    p.set_defaults(run=_cmd_analyze)
     p.add_argument("--input", metavar="FILE", help="graph6 file (default: stdin)")
 
     p = sub.add_parser("find-cut", help="search for a k-degenerate vertex cut")
+    p.set_defaults(run=_cmd_find_cut)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--minimum", action="store_true", help="minimum cuts only")
     p.add_argument("--input", metavar="FILE")
     p.add_argument("--quiet", action="store_true", help="print found/none only")
 
     p = sub.add_parser("min-cuts", help="enumerate all minimum vertex cuts")
+    p.set_defaults(run=_cmd_min_cuts)
     p.add_argument("--input", metavar="FILE")
 
     p = sub.add_parser("construct", help="emit an extremal construction as graph6")
+    p.set_defaults(run=_cmd_construct)
     fam = p.add_subparsers(dest="family", required=True)
     c = fam.add_parser("ring", help="ring of cliques under one apex vertex")
     c.add_argument("--k", type=int, required=True)
@@ -92,6 +96,7 @@ def _build_parser() -> _Parser:
     )
 
     p = sub.add_parser("verify", parents=[scan], help="verify a bound or cut guarantee")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("which", choices=THEOREMS, help="verification target")
     p.add_argument("--k", type=int, help="degeneracy parameter (thm2 fixes 2)")
     source = p.add_mutually_exclusive_group(required=True)
@@ -100,6 +105,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--quiet", action="store_true", help="print PASS/FAIL only")
 
     p = sub.add_parser("enumerate", parents=[scan], help="stream labeled graphs as graph6")
+    p.set_defaults(run=_cmd_enumerate)
     p.add_argument("--n", type=int, required=True)
 
     return parser
@@ -228,11 +234,8 @@ def _scan_spec(args: argparse.Namespace) -> EnumerationSpec:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    k = args.k
-    if args.which == "thm2":
-        if k is None:
-            k = 2
-    elif k is None:
+    k = 2 if args.k is None and args.which == "thm2" else args.k
+    if k is None:
         raise ValueError(f"--k is required for {args.which}")
     _check_jobs(args.jobs)
     failed: list[int] = []
@@ -269,21 +272,11 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-_HANDLERS = {
-    "analyze": _cmd_analyze,
-    "find-cut": _cmd_find_cut,
-    "min-cuts": _cmd_min_cuts,
-    "construct": _cmd_construct,
-    "verify": _cmd_verify,
-    "enumerate": _cmd_enumerate,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except BrokenPipeError:
         return 1
     except (ValueError, OSError) as exc:

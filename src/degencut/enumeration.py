@@ -124,6 +124,8 @@ def _iter_graphs(
         return
     if len(prefix) > num:
         raise ValueError("prefix longer than the slot list")
+    if bad := [b for b in prefix if b not in (0, 1)]:
+        raise ValueError(f"prefix value {bad[0]!r} is neither 0 nor 1")
     base = max(n - TAIL, 0)
     tail = (n - base) * (n - base - 1) // 2
     head = num - tail
@@ -223,14 +225,8 @@ def partition_prefixes(spec: EnumerationSpec, tasks: int) -> list[tuple[int, ...
     if spec.iso_reject:
         raise ValueError("iso_reject streams cannot be partitioned")
     _validated(spec)
-    depth = 0
-    while (1 << depth) < tasks and depth < spec.n * (spec.n - 1) // 2:
-        depth += 1
-    # absent branch explored first, so earlier slots are higher bits
-    return [
-        tuple(code >> (depth - 1 - i) & 1 for i in range(depth))
-        for code in range(1 << depth)
-    ]
+    depth = min(max(tasks - 1, 0).bit_length(), spec.n * (spec.n - 1) // 2)
+    return list(product((0, 1), repeat=depth))  # 0 first: the walk's absent branch
 
 
 def map_prefixes(
@@ -361,7 +357,3 @@ def canonical_form(g: Graph) -> tuple[int, ...]:
     if n:
         search([(1 << n) - 1])
     return min(leaves, default=())
-
-
-def canonical_graph(g: Graph) -> Graph:
-    return Graph(g.n, canonical_form(g))

@@ -28,7 +28,7 @@ from .connectivity import is_connected
 from .cut_search import exists_min_degenerate_cut, has_degenerate_cut
 from .enumeration import (
     EnumerationSpec,
-    canonical_graph,
+    canonical_form,
     enumerate_labeled,
     map_prefixes,
 )
@@ -63,10 +63,6 @@ def hyp_thm3(k: int, n: int, m: int) -> bool:
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
     return 2 * m <= (k + 3) * n + (k - 1)
-
-
-def check_min_degree(g: Graph, k: int) -> bool:
-    return g.min_degree() >= k + 2
 
 
 @dataclass(frozen=True)
@@ -114,8 +110,8 @@ def evaluate(which: str, k: int, g: Graph) -> tuple[bool, str | None]:
     if which == "mindeg":
         if n < k + 2 or has_degenerate_cut(g, k):
             return False, None
-        ok = check_min_degree(g, k)
-        return True, None if ok else f"minimum degree {g.min_degree()} < k+2={k + 2}"
+        d = g.min_degree()
+        return True, None if d >= k + 2 else f"minimum degree {d} < k+2={k + 2}"
     raise ValueError(f"unknown theorem {which!r}; expected one of {THEOREMS}")
 
 
@@ -124,12 +120,9 @@ def _validate_which_k(which: str, k: int) -> None:
         raise ValueError(f"unknown theorem {which!r}; expected one of {THEOREMS}")
     if which == "thm2" and k != 2:
         raise ValueError("thm2 is specific to k=2")
-    if which == "thm3" and k < 2:
-        raise ValueError("thm3 needs k >= 2")
-    if which == "thm1" and k < 1:
-        raise ValueError("thm1 needs k >= 1")
-    if which == "mindeg" and k < 0:
-        raise ValueError("mindeg needs k >= 0")
+    least = {"thm1": 1, "thm2": 2, "thm3": 2, "mindeg": 0}[which]
+    if k < least:
+        raise ValueError(f"{which} needs k >= {least}")
 
 
 def verify_theorem(which: str, k: int, graphs) -> VerificationReport:
@@ -146,7 +139,7 @@ def verify_theorem(which: str, k: int, graphs) -> VerificationReport:
         report.hypothesis_hits += 1
         if reason is None:
             continue
-        found.setdefault(to_graph6(canonical_graph(g)), reason)
+        found.setdefault(to_graph6(Graph(g.n, canonical_form(g))), reason)
     report.violations = [Violation(s, r) for s, r in sorted(found.items())]
     report.seconds = time.perf_counter() - t0
     return report

@@ -4,6 +4,7 @@ calls always pass --input so stdin stays untouched; piping goes through a
 subprocess running `python -m degencut`, which needs no install. The console
 script mapping in pyproject.toml is checked separately."""
 
+import argparse
 import importlib
 import json
 import subprocess
@@ -316,6 +317,21 @@ def test_unknown_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 1
+
+
+def test_every_subcommand_binds_its_handler():
+    # main runs the `run` default of the subcommand it parsed, so each
+    # subparser must bind its own _cmd_ function
+    (sub,) = [
+        action
+        for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert len(sub.choices) == 6
+    for name, parser in sub.choices.items():
+        run = parser.get_default("run")
+        assert callable(run)
+        assert run.__name__ == "_cmd_" + name.replace("-", "_")
 
 
 def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):

@@ -13,7 +13,6 @@ from degencut import (
     EnumerationSpec,
     Graph,
     canonical_form,
-    canonical_graph,
     complete,
     cycle,
     enumerate_labeled,
@@ -188,6 +187,19 @@ def test_prefix_streams_tile_the_sequential_stream():
             assert all(map(counts_its_edges, tiled))
 
 
+def test_partition_prefixes_lists_every_bit_tuple_in_numeric_order():
+    # depth is the least d with 2^d >= tasks, capped at the slot count; the
+    # prefixes are the depth-bit numbers written out, most significant first
+    for n in range(9):
+        slots = n * (n - 1) // 2
+        for tasks in range(-2, 301):
+            depth = next(d for d in range(slots + 1) if 2**d >= tasks or d == slots)
+            want = [
+                tuple(map(int, bin(1 << depth | code)[3:])) for code in range(2**depth)
+            ]
+            assert partition_prefixes(EnumerationSpec(n), tasks) == want
+
+
 def test_map_prefixes_clamps_jobs_to_the_cpu_count(monkeypatch):
     # an in-process pool: the test starts no process
     started = []
@@ -248,6 +260,11 @@ def test_spec_validation():
         list(enumerate_labeled(EnumerationSpec(4, edge_range=(5, 3))))
     with pytest.raises(ValueError):
         list(enumerate_labeled(EnumerationSpec(4, edge_range=(0, 7))))
+    # a 2 allows neither branch of its slot, so the stream would be empty
+    with pytest.raises(ValueError, match="prefix value 2 "):
+        list(enumerate_labeled(EnumerationSpec(4), (0, 2)))
+    with pytest.raises(ValueError, match="prefix value -1 "):
+        list(enumerate_labeled(EnumerationSpec(6), (-1,)))
     # 1,225 slots: the walk keeps its state in arrays, so the order is not capped
     got = all_of(EnumerationSpec(50, edge_range=(0, 1)))
     assert len(set(got)) == len(got) == 1 + 50 * 49 // 2
@@ -270,7 +287,8 @@ def test_canonical_form_is_isomorphism_invariant():
         g = random_graph(rng.randint(1, 6), rng, 0.5)
         h = relabel(g, rng)
         assert canonical_form(g) == canonical_form(h)
-        assert canonical_graph(g) == canonical_graph(h)
+        # the form is g relabeled: a graph with its own form
+        assert canonical_form(Graph(g.n, canonical_form(g))) == canonical_form(g)
 
 
 def test_canonical_form_is_invariant_past_eight_vertices():

@@ -9,10 +9,10 @@ import pytest
 
 from degencut import (
     EnumerationSpec,
+    Graph,
     bound_thm1,
     bound_thm2,
-    canonical_graph,
-    check_min_degree,
+    canonical_form,
     complete,
     cycle,
     enumerate_labeled,
@@ -93,16 +93,6 @@ def test_hyp_thm3_examples():
         hyp_thm3(1, 8, 10)  # thm3 needs k >= 2
 
 
-def test_check_min_degree():
-    # the conclusion being tested is min degree >= k + 2
-    assert check_min_degree(complete(5), 2)
-    assert not check_min_degree(complete(5), 3)
-    assert check_min_degree(cycle(4), 0)
-    assert not check_min_degree(cycle(4), 1)
-    assert check_min_degree(ring_of_cliques(2, 3, 0), 2)
-    assert check_min_degree(join_extremal(1, 6), 1)
-
-
 # ---------------------------------------------------------------- evaluate
 
 
@@ -130,16 +120,19 @@ def test_evaluate_mindeg_counterexample():
 
 
 def test_validate_which_k():
-    _validate_which_k("thm2", 2)
-    with pytest.raises(ValueError):
+    for which, least in (("thm1", 1), ("thm2", 2), ("thm3", 2), ("mindeg", 0)):
+        _validate_which_k(which, least)
+    with pytest.raises(ValueError, match="thm2 is specific to k=2"):
         _validate_which_k("thm2", 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="thm2 is specific to k=2"):
+        _validate_which_k("thm2", 1)
+    with pytest.raises(ValueError, match="thm3 needs k >= 2"):
         _validate_which_k("thm3", 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="thm1 needs k >= 1"):
         _validate_which_k("thm1", 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mindeg needs k >= 0"):
         _validate_which_k("mindeg", -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown theorem"):
         _validate_which_k("thm9", 2)
 
 
@@ -231,7 +224,7 @@ def test_verify_dedups_violations_past_eight_vertices(monkeypatch):
     assert g != h
     report = verify_theorem("thm2", 2, [g, h])
     assert report.hypothesis_hits == 2
-    assert [v.graph6 for v in report.violations] == [to_graph6(canonical_graph(g))]
+    assert [v.graph6 for v in report.violations] == [to_graph6(Graph(9, canonical_form(g)))]
 
 
 def test_exhaustive_merge_keeps_one_violation_per_class(monkeypatch):
@@ -241,7 +234,7 @@ def test_exhaustive_merge_keeps_one_violation_per_class(monkeypatch):
 
     monkeypatch.setattr(verify, "evaluate", lambda which, k, g: (True, "forced"))
     graphs = enumerate_labeled(EnumerationSpec(4))
-    classes = sorted({to_graph6(canonical_graph(g)) for g in graphs})
+    classes = sorted({to_graph6(Graph(4, canonical_form(g))) for g in graphs})
     assert len(classes) == 11
     for spec, scanned in (
         (EnumerationSpec(4), 64),
