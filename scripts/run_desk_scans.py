@@ -4,8 +4,8 @@ per scan.
 
 Every scan streams a pruned labeled enumeration through a verification
 target and must come back with zero violations. The n=8 sparse scan is the
-expensive one; the whole battery took 19 s in one process and 16 s under
---jobs 2 (2-vCPU x86_64, Python 3.11.7, one run each). --quick drops it.
+expensive one; the whole battery took 9.4-9.8 s in one process and 6.0 s
+under --jobs 2 (2-vCPU x86_64, Python 3.11.7, two runs each). --quick drops it.
 
 Usage:
   python3 scripts/run_desk_scans.py [--out results] [--jobs N] [--quick]

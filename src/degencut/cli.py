@@ -254,8 +254,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failed else 0 if report.passed else 2
 
 
-def _enumerate_task(spec: EnumerationSpec, prefix: tuple[int, ...]) -> list[str]:
-    return [to_graph6(g) for g in enumerate_labeled(spec, prefix)]
+def _enumerate_task(spec: EnumerationSpec, prefix: tuple[int, ...]) -> str:
+    return "".join(to_graph6(g) + "\n" for g in enumerate_labeled(spec, prefix))
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -267,8 +267,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             out.write(to_graph6(g) + "\n")
         return 0
     for chunk in map_prefixes(_enumerate_task, spec, args.jobs):
-        if chunk:
-            out.write("\n".join(chunk) + "\n")
+        out.write(chunk)
     return 0
 
 

@@ -70,11 +70,11 @@ def _small_degenerate_cut(g: Graph, k: int) -> int | None:
 
     The second case needs the minimum degree d to be k+2: it is reached only
     when d >= k+2, or when N[v0] = V, and then n = d+1 <= k+2 fails n >= k+4.
-    So with d >= k+2, a degree-(k+2) vertex exists only if d = k+2."""
+    So with d >= k+2, a degree-(k+2) vertex exists only if d = k+2. d is
+    `g.min_degree()`, carried by graphs of the walk; v0 is sought only if d <= k+1."""
     rows = g.rows
-    nbr = min(rows, key=int.bit_count)
-    d = nbr.bit_count()
-    if d <= k + 1 and is_cut(g, nbr):
+    d = g.min_degree()
+    if d <= k + 1 and is_cut(g, nbr := min(rows, key=int.bit_count)):
         return nbr
     if d == k + 2 and g.n >= k + 4:
         for nbr in rows:

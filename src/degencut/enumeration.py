@@ -27,7 +27,8 @@ every other slot is a head slot.
   The filtered list is kept for the rest of the walk, keyed on the raw walk
   state (the tail vertices' degrees, m), which fixes both conditions, so the
   deficits and the window are worked out only for a new key. Each graph
-  carries the walk's edge count m + t_m, so nothing downstream recounts it.
+  carries the walk's edge count m + t_m and its minimum degree, the lesser of the
+  head vertices' least degree at the leaf and the tail vertices' (per key).
 
 This is the stream of one walk over all slots, because:
 
@@ -51,7 +52,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
-from operator import ge, or_
+from operator import or_, sub
 from typing import Callable, Iterator, TypeVar
 
 from .connectivity import is_connected
@@ -111,7 +112,7 @@ def _tail_table(
 def _iter_graphs(
     n: int, m_lo: int, m_hi: int, dmin: int, prefix: tuple[int, ...]
 ) -> Iterator[Graph]:
-    """Yield every graph meeting the constraints, its edge count set.
+    """Yield every graph meeting the constraints, its m and minimum degree set.
 
     One loop walks the head slots: `branch[i]` is 0 while slot i is
     undecided, 1 inside its absent branch and 2 inside its present branch.
@@ -126,11 +127,14 @@ def _iter_graphs(
         raise ValueError("prefix longer than the slot list")
     if bad := [b for b in prefix if b not in (0, 1)]:
         raise ValueError(f"prefix value {bad[0]!r} is neither 0 nor 1")
+    if n == 0:  # its minimum degree is undefined, so none is set
+        yield Graph(0, (), 0)
+        return
     base = max(n - TAIL, 0)
     tail = (n - base) * (n - base - 1) // 2
     head = num - tail
     table = _tail_table(n, tuple(prefix[head:]))
-    fits: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    fits: dict[tuple[int, ...], list[tuple[tuple[int, ...], int, int]]] = {}
     fixed = prefix[:head]
     absent_ok = [b == 0 for b in fixed] + [True] * (head - len(fixed))
     present_ok = [b == 1 for b in fixed] + [True] * (head - len(fixed))
@@ -147,13 +151,16 @@ def _iter_graphs(
             if tails is None:
                 short = [dmin - d for d in deg[base:]]
                 lo, hi = m_lo - m, m_hi - m
+                # gap: the tail vertices' least degree minus dmin; they fit if >= 0
                 tails = fits[key] = [
-                    entry
-                    for entry in table
-                    if lo <= entry[2] <= hi and all(map(ge, entry[1], short))
+                    (t_rows, m + t_m, dmin + gap)
+                    for t_rows, t_deg, t_m in table
+                    if lo <= t_m <= hi and (gap := min(map(sub, t_deg, short))) >= 0
                 ]
-            for t_rows, _, t_m in tails:
-                yield Graph(n, tuple(map(or_, rows, t_rows)), m + t_m)
+            low = min(deg[:base] or [n])  # no head vertex at n <= 4
+            for t_rows, t_m, t_d in tails:
+                d = low if low < t_d else t_d
+                yield Graph(n, tuple(map(or_, rows, t_rows)), t_m, d)
             i -= 1
             continue
         u, v = slots[i]

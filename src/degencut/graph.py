@@ -31,13 +31,14 @@ def bits(mask: int) -> Iterator[int]:
 
 
 class Graph:
-    __slots__ = ("n", "rows", "_m")
+    __slots__ = ("n", "rows", "_m", "_d")
 
-    def __init__(self, n: int, rows: tuple[int, ...], m: int = -1) -> None:
-        """`m`, if given, is the caller's exact edge count; else `m` counts it."""
+    def __init__(self, n: int, rows: tuple[int, ...], m: int = -1, d: int = -1) -> None:
+        """The exact `m` and minimum degree `d`, if given; else each is counted once."""
         self.n = n
         self.rows = rows
         self._m = m
+        self._d = d
 
     @property
     def m(self) -> int:
@@ -56,9 +57,11 @@ class Graph:
         return tuple(map(int.bit_count, self.rows))
 
     def min_degree(self) -> int:
-        if self.n == 0:
-            raise ValueError("min degree of the empty graph is undefined")
-        return min(map(int.bit_count, self.rows))
+        if self._d < 0:
+            if self.n == 0:
+                raise ValueError("min degree of the empty graph is undefined")
+            self._d = min(map(int.bit_count, self.rows))
+        return self._d
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)

@@ -507,6 +507,15 @@ def test_enumerate_jobs_do_not_change_the_bytes():
     assert len(a.stdout.splitlines()) == 64
 
 
+def test_enumerate_jobs_stream_empty_prefixes_as_nothing():
+    # K_4 is the one graph of min degree 3 on 4 vertices, so all but one of
+    # the prefix streams under --jobs are empty; they add no bytes
+    a = run_cli("enumerate", "--n", "4", "--min-deg", "3", "--jobs", "1")
+    b = run_cli("enumerate", "--n", "4", "--min-deg", "3", "--jobs", "2")
+    assert a.returncode == b.returncode == 0
+    assert b.stdout == a.stdout == "C~\n"
+
+
 def test_enumerate_filters():
     out = run_cli("enumerate", "--n", "4", "--connected", "--max-edges", "3")
     assert out.returncode == 0

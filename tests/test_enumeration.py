@@ -187,6 +187,43 @@ def test_prefix_streams_tile_the_sequential_stream():
             assert all(map(counts_its_edges, tiled))
 
 
+def test_stream_carries_each_graph_its_min_degree():
+    # the walk sets each graph's minimum degree, the least of the head degrees
+    # at its leaf and of the tail vertices' head plus tail degrees, so nothing
+    # recounts it; the value set must be the recount on every stream: the tail
+    # table alone (n <= 4), degree floors, edge caps and floors that prune,
+    # the connected and isomorph-free filters, and every prefix stream
+    specs = [EnumerationSpec(n) for n in range(7)]
+    for n in range(2, 7):
+        top = n * (n - 1) // 2
+        for dmin in range(1, n):
+            specs += [
+                EnumerationSpec(n, (0, top // 2), dmin),
+                EnumerationSpec(n, (top // 2, top), dmin),
+            ]
+    specs += [
+        EnumerationSpec(7, (0, 12), 3),
+        EnumerationSpec(7, min_degree=4),
+        EnumerationSpec(7, (16, 21), 4),
+        EnumerationSpec(5, (2, 7), connected_only=True),
+        EnumerationSpec(6, (0, 8), 1, connected_only=True),
+    ]
+    streams = [(s, p) for s in specs for p in [()] + partition_prefixes(s, 8)]
+    streams += [
+        (EnumerationSpec(6, min_degree=2, iso_reject=True), ()),
+        (EnumerationSpec(7, min_degree=4, iso_reject=True), ()),
+    ]
+    checked = 0
+    for spec, prefix in streams:
+        for g in enumerate_labeled(spec, prefix):
+            if g.n:
+                assert g._d == min(map(int.bit_count, g.rows)), (spec, prefix, g.rows)
+                checked += 1
+    assert checked == 332_327
+    with pytest.raises(ValueError, match="empty graph"):
+        all_of(EnumerationSpec(0))[0].min_degree()
+
+
 def test_partition_prefixes_lists_every_bit_tuple_in_numeric_order():
     # depth is the least d with 2^d >= tasks, capped at the slot count; the
     # prefixes are the depth-bit numbers written out, most significant first

@@ -13,6 +13,7 @@ from degencut import (
     from_edges,
     induced_subgraph,
     join,
+    parse_graph6,
     path,
     random_graph,
 )
@@ -80,6 +81,16 @@ def test_degrees_and_neighbors():
 def test_min_degree_of_empty_graph_is_an_error():
     with pytest.raises(ValueError):
         empty_graph(0).min_degree()
+
+
+def test_min_degree_is_counted_once_when_not_given():
+    # a graph built without the walk's d counts its minimum degree on first
+    # use and keeps it; one built with d reports d as given
+    for g in (from_edges(4, [(0, 1), (0, 2), (0, 3)]), parse_graph6("G?bF`w"), petersen()):
+        assert g._d == -1
+        assert g.min_degree() == min(map(int.bit_count, g.rows))
+        assert g._d == g.min_degree()
+    assert Graph(3, (0b110, 0b001, 0b001), 2, 1).min_degree() == 1
 
 
 def test_induced_subgraph_relabels_ascending():
