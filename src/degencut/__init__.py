@@ -24,7 +24,7 @@ from .cut_search import (
     find_min_degenerate_cut,
     has_degenerate_cut,
 )
-from .degeneracy import CoreCertificate, degeneracy, is_k_degenerate, max_k_core
+from .degeneracy import degeneracy, is_k_degenerate
 from .enumeration import (
     EnumerationSpec,
     canonical_form,
@@ -59,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "THEOREMS",
-    "CoreCertificate",
     "CutCertificate",
     "EnumerationSpec",
     "Graph",
@@ -90,7 +89,6 @@ __all__ = [
     "is_k_degenerate",
     "join",
     "join_extremal",
-    "max_k_core",
     "minimum_cuts",
     "parse_graph6",
     "path",

@@ -4,6 +4,9 @@ A cut is a vertex set S strictly contained in V whose removal leaves a
 disconnected graph, i.e. at least two components (so at least two vertices
 survive). The empty set is a cut of a disconnected graph. In a complete graph
 no cut exists; vertex_connectivity adopts the usual convention kappa(K_n) = n-1.
+
+A cut's certificate is read off its bitmask S: the components of G - S from
+one split, the degeneracy of S from one peel, bipartiteness from one search.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .degeneracy import degeneracy
-from .graph import Graph, bits, induced_subgraph, mask_of
+from .degeneracy import mask_degeneracy
+from .graph import Graph, bits, mask_of
 
 def component_mask(rows: Sequence[int], seed_bit: int, region: int) -> int:
     """Vertices reachable from seed_bit inside region (as a bitmask)."""
@@ -57,15 +60,19 @@ def is_connected(g: Graph) -> bool:
     return component_mask(g.rows, 1, full) == full
 
 
-def is_cut(g: Graph, s: Iterable[int] | int) -> bool:
-    s_mask = mask_of(s)
+def _rest(g: Graph, s_mask: int) -> int:
+    """V - S as a bitmask; raises unless S is a proper subset of V."""
     if s_mask & ~g.full_mask:
         raise ValueError("cut candidate contains vertices outside the graph")
     region = g.full_mask & ~s_mask
     if region == 0:
         raise ValueError("cut candidate must be a proper subset of the vertices")
-    seed = region & -region
-    return component_mask(g.rows, seed, region) != region
+    return region
+
+
+def is_cut(g: Graph, s: Iterable[int] | int) -> bool:
+    region = _rest(g, mask_of(s))
+    return component_mask(g.rows, region & -region, region) != region
 
 
 @dataclass(frozen=True)
@@ -88,32 +95,33 @@ class CutCertificate:
         }
 
 
-def _is_bipartite(h: Graph) -> bool:
-    color = [-1] * h.n
-    for start in range(h.n):
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w in bits(h.rows[v]):
-                if color[w] < 0:
-                    color[w] = color[v] ^ 1
-                    queue.append(w)
-                elif color[w] == color[v]:
+def _is_bipartite(rows: Sequence[int], region: int) -> bool:
+    """Whether the subgraph induced on region has no odd cycle. Each component
+    is searched breadth first from its lowest vertex, one layer at a time:
+    edges join a layer to itself or to the next, and one inside a layer closes
+    an odd cycle. With none, the layers' parities 2-colour the component."""
+    while region:
+        layer = seen = region & -region
+        while layer:
+            grow = 0
+            for v in bits(layer):
+                if rows[v] & layer:
                     return False
+                grow |= rows[v]
+            layer = grow & region & ~seen
+            seen |= layer
+        region &= ~seen
     return True
 
 
 def certify_cut(g: Graph, s: Iterable[int] | int) -> CutCertificate:
-    """Build the certificate for a known cut; raises if s is not a cut."""
+    """Build the certificate for a known cut, straight from its bitmask;
+    raises if s is not a cut."""
     s_mask = mask_of(s)
-    if not is_cut(g, s_mask):
+    parts = _split(g.rows, _rest(g, s_mask))
+    if len(parts) < 2:
         raise ValueError("vertex set is not a cut")
-    parts = _split(g.rows, g.full_mask & ~s_mask)
-    induced = induced_subgraph(g, s_mask)
-    degen = degeneracy(induced)
+    degen = mask_degeneracy(g.rows, s_mask)
     cut_tuple = tuple(bits(s_mask))
     # any t-vertex graph is (t-1)-degenerate, so small cuts are always tame
     if degen > max(len(cut_tuple) - 1, 0):
@@ -124,7 +132,7 @@ def certify_cut(g: Graph, s: Iterable[int] | int) -> CutCertificate:
         cut_degeneracy=degen,
         independent=degen == 0,
         forest=degen <= 1,
-        bipartite=_is_bipartite(induced),
+        bipartite=_is_bipartite(g.rows, s_mask),
     )
 
 

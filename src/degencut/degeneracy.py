@@ -6,24 +6,13 @@ when it has no k-core -- equivalently, every nonempty subgraph has a vertex of
 degree at most k (0-degenerate = edgeless, 1-degenerate = forest). A nonempty
 k-core always has at least k+2 vertices.
 
-One bitmask peel, `core_mask`, gives the k-core of any vertex set, the max
-k-core and the degeneracy (smallest-last peeling, Matula & Beck 1983).
+One bitmask peel, `core_mask`, gives the k-core of any vertex set, and
+repeated peels give its degeneracy (smallest-last peeling, Matula & Beck 1983).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graph import Graph, bits
-
-
-@dataclass(frozen=True)
-class CoreCertificate:
-    k: int
-    core: tuple[int, ...]
-
-    def __bool__(self) -> bool:
-        return bool(self.core)
 
 
 def _low_degree(rows: tuple[int, ...], cand: int, alive: int, k: int) -> int:
@@ -53,25 +42,27 @@ def core_mask(rows: tuple[int, ...], alive: int, k: int) -> int:
     return alive
 
 
-def max_k_core(g: Graph, k: int) -> CoreCertificate:
-    """Unique maximal vertex set inducing minimum degree >= k+1 (may be empty)."""
+def is_k_degenerate(g: Graph, k: int) -> bool:
+    """Whether g has an empty k-core."""
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    return CoreCertificate(k, tuple(bits(core_mask(g.rows, g.full_mask, k))))
+    return not core_mask(g.rows, g.full_mask, k)
 
 
-def is_k_degenerate(g: Graph, k: int) -> bool:
-    return not max_k_core(g, k).core
-
-
-def degeneracy(g: Graph) -> int:
-    """Smallest k for which g is k-degenerate (0 for edgeless and empty graphs).
+def mask_degeneracy(rows: tuple[int, ...], alive: int) -> int:
+    """Smallest k for which the subgraph induced on the bitmask alive is
+    k-degenerate (0 for an edgeless or empty one).
 
     Raises k to the minimum degree of what is left and peels to the k-core,
     until nothing is left: k is then the maximum over the peel of the current
-    minimum degree, and the k-core of g is empty."""
-    rows, alive, k = g.rows, g.full_mask, 0
+    minimum degree, and the k-core of alive is empty."""
+    k = 0
     while alive:
         k = max(k, min((rows[v] & alive).bit_count() for v in bits(alive)))
         alive = core_mask(rows, alive, k)
     return k
+
+
+def degeneracy(g: Graph) -> int:
+    """Smallest k for which g is k-degenerate (0 for edgeless and empty graphs)."""
+    return mask_degeneracy(g.rows, g.full_mask)

@@ -79,6 +79,33 @@ def ref_is_cut(g: Graph, s: int) -> bool:
     return len(seen) < len(rest)
 
 
+def ref_components(g: Graph, s: int) -> list[tuple[int, ...]]:
+    """Components of G - S, S given as a bitmask, by a plain search over
+    neighbour lists: each sorted, ordered by smallest member."""
+    out = []
+    seen = set()
+    for v in range(g.n):
+        if v in seen or s >> v & 1:
+            continue
+        comp = {v}
+        stack = [v]
+        while stack:
+            for w in g.neighbors(stack.pop()):
+                if w not in comp and not s >> w & 1:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        out.append(tuple(sorted(comp)))
+    return out
+
+
+def ref_is_bipartite(h: Graph) -> bool:
+    """Some colouring of h's vertices with two colours gives every edge both;
+    all 2^n colourings are tried."""
+    edges = list(h.edges())
+    return any(all((c >> u ^ c >> v) & 1 for u, v in edges) for c in range(1 << h.n))
+
+
 def brute_has_degenerate_cut(g: Graph, k: int) -> bool:
     for size in range(g.n - 1):
         for combo in combinations(range(g.n), size):

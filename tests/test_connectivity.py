@@ -13,6 +13,7 @@ from degencut import (
     empty_graph,
     enumerate_labeled,
     from_edges,
+    induced_subgraph,
     is_connected,
     is_cut,
     join,
@@ -24,8 +25,17 @@ from degencut import (
     vertex_connectivity,
 )
 from degencut.connectivity import check_minimum_cut, minimum_cut_sets
-from degencut.graph import petersen
-from oracles import brute_minimum_cuts, brute_vertex_connectivity
+from degencut.cut_search import minimal_separators
+from degencut.graph import bits, petersen
+
+from conftest import random_graph_stream
+from oracles import (
+    brute_minimum_cuts,
+    brute_vertex_connectivity,
+    ref_components,
+    ref_is_bipartite,
+    ref_is_k_degenerate,
+)
 
 
 def test_components_ordered_by_smallest_member():
@@ -116,7 +126,14 @@ def test_certificate_flags_independent_forest_bipartite():
 
 
 def test_certify_rejects_non_cut():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cut candidate contains vertices outside the graph"):
+        certify_cut(cycle(4), [4])
+    with pytest.raises(ValueError, match="cut candidate must be a proper subset of the vertices"):
+        certify_cut(cycle(4), [0, 1, 2, 3])
+    # one survivor, then a connected rest
+    with pytest.raises(ValueError, match="vertex set is not a cut"):
+        certify_cut(cycle(4), [0, 1, 2])
+    with pytest.raises(ValueError, match="vertex set is not a cut"):
         certify_cut(cycle(5), [0])
 
 
@@ -312,3 +329,22 @@ def test_certificate_invariants_on_random_cuts():
         assert len(c.components) >= 2
         survivors = sorted(v for comp in c.components for v in comp)
         assert survivors == sorted(set(range(g.n)) - set(s))
+
+
+def test_certificate_fields_match_the_oracles_on_every_minimal_separator():
+    cuts = 0
+    for g in random_graph_stream(1000, 2, 10, seed=0xCE):
+        for s in minimal_separators(g):
+            cuts += 1
+            c = certify_cut(g, s)
+            h = induced_subgraph(g, s)
+            d = c.cut_degeneracy
+            assert c.cut == tuple(bits(s))
+            assert list(c.components) == ref_components(g, s)
+            assert ref_is_k_degenerate(h, d)
+            if h.m:
+                assert not ref_is_k_degenerate(h, d - 1)
+            assert c.bipartite == ref_is_bipartite(h)
+            assert c.independent == (d == 0) == (h.m == 0)
+            assert c.forest == (d <= 1) == ref_is_k_degenerate(h, 1)
+    assert cuts >= 1000

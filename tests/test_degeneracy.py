@@ -14,7 +14,6 @@ from degencut import (
     empty_graph,
     from_edges,
     is_k_degenerate,
-    max_k_core,
     path,
     random_graph,
 )
@@ -31,30 +30,40 @@ def disjoint_union(*graphs):
     return from_edges(n, edges)
 
 
+def core(g, k):
+    """The max k-core of g as a sorted vertex tuple, from one `core_mask` peel."""
+    return tuple(bits(core_mask(g.rows, g.full_mask, k)))
+
+
 def test_cycle_cores():
     c5 = cycle(5)
-    assert max_k_core(c5, 1).core == (0, 1, 2, 3, 4)
-    assert max_k_core(c5, 2).core == ()
-    assert not max_k_core(c5, 2)
-    assert bool(max_k_core(c5, 1))
+    assert core(c5, 1) == (0, 1, 2, 3, 4)
+    assert core(c5, 2) == ()
+    assert is_k_degenerate(c5, 2)
+    assert not is_k_degenerate(c5, 1)
 
 
 def test_complete_graph_cores():
     k5 = complete(5)
-    assert max_k_core(k5, 3).core == (0, 1, 2, 3, 4)
-    assert max_k_core(k5, 4).core == ()
+    assert core(k5, 3) == (0, 1, 2, 3, 4)
+    assert core(k5, 4) == ()
+    assert not is_k_degenerate(k5, 3)
+    assert is_k_degenerate(k5, 4)
 
 
 def test_petersen_cores():
     p = petersen()
-    assert max_k_core(p, 2).core == tuple(range(10))
-    assert max_k_core(p, 3).core == ()
+    assert core(p, 2) == tuple(range(10))
+    assert core(p, 3) == ()
+    assert not is_k_degenerate(p, 2)
+    assert is_k_degenerate(p, 3)
 
 
 def test_core_ignores_pendant_trees():
     # triangle with a tail: the 1-core is just the triangle
     g = from_edges(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5)])
-    assert max_k_core(g, 1).core == (0, 1, 2)
+    assert core(g, 1) == (0, 1, 2)
+    assert not is_k_degenerate(g, 1)
 
 
 def test_max_core_spans_disconnected_pieces():
@@ -62,12 +71,13 @@ def test_max_core_spans_disconnected_pieces():
     two = from_edges(9, [(u, v) for u in range(4) for v in range(u + 1, 4)]
                      + [(u + 4, v + 4) for u in range(4) for v in range(u + 1, 4)]
                      + [(3, 8), (8, 4)])
-    assert max_k_core(two, 2).core == (0, 1, 2, 3, 4, 5, 6, 7)
+    assert core(two, 2) == (0, 1, 2, 3, 4, 5, 6, 7)
+    assert not is_k_degenerate(two, 2)
 
 
 def test_k_validation():
-    with pytest.raises(ValueError):
-        max_k_core(cycle(3), -1)
+    with pytest.raises(ValueError, match="k must be nonnegative, got -1"):
+        is_k_degenerate(cycle(3), -1)
 
 
 def test_degeneracy_of_named_graphs():
@@ -107,8 +117,9 @@ def test_nonempty_core_needs_k_plus_2_vertices():
     for _ in range(300):
         g = random_graph(rng.randint(0, 9), rng, 0.6)
         for k in range(4):
-            core = max_k_core(g, k).core
-            assert not core or len(core) >= k + 2
+            found = core(g, k)
+            assert not found or len(found) >= k + 2
+            assert is_k_degenerate(g, k) == (not found)
 
 
 def test_core_is_removal_order_independent():
@@ -118,7 +129,7 @@ def test_core_is_removal_order_independent():
         order = list(range(g.n))
         rng.shuffle(order)
         for k in (0, 1, 2):
-            assert frozenset(max_k_core(g, k).core) == peel_with_order(g, k, order)
+            assert frozenset(core(g, k)) == peel_with_order(g, k, order)
 
 
 def test_core_mask_of_a_vertex_set_is_the_core_of_its_induced_subgraph():
@@ -129,6 +140,7 @@ def test_core_mask_of_a_vertex_set_is_the_core_of_its_induced_subgraph():
             labels = tuple(bits(s))
             sub = induced_subgraph(g, s)
             for k in range(4):
-                core = core_mask(g.rows, s, k)
-                assert core == mask_of(labels[v] for v in max_k_core(sub, k).core)
-                assert (not core) == ref_is_k_degenerate(sub, k)
+                found = core_mask(g.rows, s, k)
+                want = peel_with_order(sub, k, list(range(sub.n)))
+                assert found == mask_of(labels[v] for v in want)
+                assert (not found) == ref_is_k_degenerate(sub, k) == is_k_degenerate(sub, k)
